@@ -38,6 +38,109 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (system imports HetMa
     from repro.system import PimSystem
 
 
+class DeferredReads:
+    """Reads blocked on a full target, parked per target in one cyclic order.
+
+    The retry order is that of a single deque rotated through on every pass
+    (blocked entries move to the back, submitted ones leave).  Each entry
+    carries a global *defer position*; per-target FIFOs are sorted by it, so
+    a pass merges the heads of only the targets that may accept -- entries
+    whose target is known to be full are never visited.  Two facts keep the
+    order identical to the rotating deque:
+
+    * a pass that runs to the end leaves every skipped entry where it was;
+    * a pass that stops because the in-flight window filled leaves the
+      deque as [unprocessed tail] + [skipped head].  The entries positioned
+      before the last submitted one are moved to the back, in order.
+    """
+
+    __slots__ = ("_fifos", "count", "_next_pos")
+
+    def __init__(self) -> None:
+        #: target key -> deque of (position, access, request), by position.
+        self._fifos: Dict[tuple, Deque[tuple]] = {}
+        #: Number of parked entries.
+        self.count = 0
+        self._next_pos = 0
+
+    def clear(self) -> None:
+        self._fifos.clear()
+        self.count = 0
+        self._next_pos = 0
+
+    def append(self, key: tuple, access, request: MemoryRequest) -> None:
+        """Park one read at the back of the cyclic order."""
+        fifo = self._fifos.get(key)
+        if fifo is None:
+            fifo = self._fifos[key] = deque()
+        fifo.append((self._next_pos, access, request))
+        self._next_pos += 1
+        self.count += 1
+
+    def retry(
+        self,
+        submit: Callable[[object, MemoryRequest], bool],
+        room: int,
+        blocked: set,
+        full_targets: set,
+    ) -> bool:
+        """One retry pass; returns ``False`` if it stopped on a full window.
+
+        ``submit(access, request)`` issues one parked read; ``room`` is how
+        many more reads the in-flight window takes.  Targets in ``blocked``
+        or ``full_targets`` are skipped; a target that refuses is added to
+        ``full_targets`` and skipped for the rest of the pass.
+        """
+        fifos = self._fifos
+        heap = [
+            (fifo[0][0], key)
+            for key, fifo in fifos.items()
+            if key not in blocked and key not in full_targets
+        ]
+        if not heap:
+            return True
+        if room <= 0:
+            return False
+        heapq.heapify(heap)
+        while heap:
+            position, key = heapq.heappop(heap)
+            fifo = fifos[key]
+            entry = fifo[0]
+            if not submit(entry[1], entry[2]):
+                full_targets.add(key)
+                continue
+            fifo.popleft()
+            self.count -= 1
+            if fifo:
+                heapq.heappush(heap, (fifo[0][0], key))
+            else:
+                del fifos[key]
+            room -= 1
+            if not room:
+                self._rotate_before(position)
+                return False
+        return True
+
+    def _rotate_before(self, position: int) -> None:
+        """Move every entry positioned before ``position`` to the back, in order."""
+        fifos = self._fifos
+        if not any(fifo[-1][0] > position for fifo in fifos.values()):
+            return  # nothing after it: the order is already [skipped...]
+        moved = []
+        for key, fifo in fifos.items():
+            while fifo[0][0] < position:
+                entry = fifo.popleft()
+                moved.append((entry[0], key, entry[1], entry[2]))
+                if not fifo:
+                    break
+        moved.sort()
+        next_pos = self._next_pos
+        for _, key, access, request in moved:
+            fifos[key].append((next_pos, access, request))
+            next_pos += 1
+        self._next_pos = next_pos
+
+
 class DataCopyEngine:
     """Hardware transfer engine with PIM-MS or conventional-DMA issue policy."""
 
@@ -61,15 +164,10 @@ class DataCopyEngine:
         # single rotated deque did -- without touching the entries whose
         # target is already known to be full.  (The write pass never returns
         # early, so a full pass preserves relative order; the read pass *can*
-        # return early mid-pass, which leaves the seed's deque rotated, so
-        # deferred reads keep the seed's single-deque form.)  Requests are
-        # built (and pre-decoded) once when first parked, never again.
+        # stop mid-pass, which :class:`DeferredReads` reproduces.)  Requests
+        # are built (and pre-decoded) once when first parked, never again.
         self._parked_writes: Dict[tuple, Deque[tuple]] = {}
-        self._deferred_reads: Deque[tuple] = deque()
-        #: Multiset of target keys present in the deferred-read deque, so a
-        #: pump can prove in O(#channels) that the whole retry pass would be
-        #: a no-op (every represented target still full).
-        self._deferred_keys: Dict[tuple, int] = {}
+        self._deferred_reads = DeferredReads()
         self._park_seq = 0
         self._retry_channels: set = set()
         self._done = False
@@ -97,25 +195,6 @@ class DataCopyEngine:
     def address_buffer_capacity_ok(self, descriptor: TransferDescriptor) -> bool:
         """True if the descriptor fits the 64 KB address buffer in one shot."""
         return descriptor.num_cores <= self.config.address_buffer_entries
-
-    # -------------------------------------------------------------- addressing
-    def _source_addr(self, access: ScheduledAccess) -> int:
-        assert self._descriptor is not None
-        offset = access.chunk_index * CACHE_LINE_BYTES
-        if self._descriptor.direction is TransferDirection.DRAM_TO_PIM:
-            return self._descriptor.dram_base_addrs[access.descriptor_index] + offset
-        return self.system.pim_heap_addr(
-            access.pim_core_id, self._descriptor.pim_heap_offset + offset
-        )
-
-    def _dest_addr(self, access: ScheduledAccess) -> int:
-        assert self._descriptor is not None
-        offset = access.chunk_index * CACHE_LINE_BYTES
-        if self._descriptor.direction is TransferDirection.DRAM_TO_PIM:
-            return self.system.pim_heap_addr(
-                access.pim_core_id, self._descriptor.pim_heap_offset + offset
-            )
-        return self._descriptor.dram_base_addrs[access.descriptor_index] + offset
 
     # ----------------------------------------------------------------- execute
     def begin(
@@ -146,7 +225,6 @@ class DataCopyEngine:
         self._writes_outstanding = 0
         self._parked_writes.clear()
         self._deferred_reads.clear()
-        self._deferred_keys.clear()
         self._park_seq = 0
         self._retry_channels.clear()
         self._done = False
@@ -184,10 +262,9 @@ class DataCopyEngine:
     def execute(self, descriptor: TransferDescriptor) -> TransferResult:
         """Run one offloaded transfer to completion and return its result."""
         self.begin(descriptor)
-        system = self.system
-        while self._result is None:
-            if not system.engine.step():
-                raise RuntimeError("simulation ran dry before the DCE transfer completed")
+        self.system.engine.run_until_done(lambda: self._result is not None)
+        if self._result is None:
+            raise RuntimeError("simulation ran dry before the DCE transfer completed")
         return self._result
 
     def _finalize(self) -> None:
@@ -247,8 +324,6 @@ class DataCopyEngine:
         """
         if self._done:
             return
-        max_in_flight = self._max_in_flight
-        system = self.system
         # Targets observed full during this pass are abandoned immediately;
         # the per-target parking means their other parked entries are never
         # even visited (the seed rotated every parked entry through a deque
@@ -261,9 +336,7 @@ class DataCopyEngine:
         # 1. Drain data-buffer entries whose write can now be enqueued, in
         # global park order across targets (min-heap over per-target heads).
         parked_writes = self._parked_writes
-        if parked_writes and any(
-            key not in retry_channels for key in parked_writes
-        ):
+        if parked_writes and not retry_channels.issuperset(parked_writes):
             heap = [(dq[0][0], key) for key, dq in parked_writes.items()]
             heapq.heapify(heap)
             while heap:
@@ -280,40 +353,16 @@ class DataCopyEngine:
                         del parked_writes[key]
                 else:
                     full_targets.add(key)
-        # 2. Retry reads that were previously blocked on a full read queue.
-        # The seed's rotation semantics are kept exactly: a mid-pass window
-        # stall leaves the unprocessed tail ahead of this pass's skipped
-        # entries for the next pass.
+        # 2. Retry reads that were previously blocked on a full read queue,
+        # visiting only the targets that may accept.
         deferred = self._deferred_reads
-        if deferred and not all(
-            key in retry_channels or key in full_targets
-            for key in self._deferred_keys
+        if deferred.count and not deferred.retry(
+            self._submit_read,
+            self._max_in_flight - self._in_flight,
+            retry_channels,
+            full_targets,
         ):
-            # In-place rotation pass: process exactly the entries present at
-            # pass start; skipped (blocked) entries rotate to the back, so at
-            # every point the deque reads [unprocessed tail..., skipped...] --
-            # which is precisely the order a window stall must leave behind
-            # (the seed's snapshot-and-rebuild produced the same sequence,
-            # with two list copies per pump that this avoids).
-            deferred_keys = self._deferred_keys
-            for _ in range(len(deferred)):
-                if self._in_flight >= max_in_flight:
-                    return
-                entry = deferred[0]
-                key = entry[1]
-                if key in retry_channels or key in full_targets:
-                    deferred.rotate(-1)
-                    continue
-                if self._submit_read(entry[0], request=entry[2]):
-                    deferred.popleft()
-                    count = deferred_keys[key] - 1
-                    if count:
-                        deferred_keys[key] = count
-                    else:
-                        del deferred_keys[key]
-                else:
-                    full_targets.add(key)
-                    deferred.rotate(-1)
+            return
         # 3. Pull new accesses from the PIM-MS schedule.
         self._pull_new(retry_channels, full_targets)
 
@@ -327,7 +376,7 @@ class DataCopyEngine:
         system = self.system
         deferred = self._deferred_reads
         iterator = self._iterator
-        while self._in_flight < max_in_flight and len(deferred) < max_in_flight:
+        while self._in_flight < max_in_flight and deferred.count < max_in_flight:
             assert iterator is not None
             access = next(iterator, None)
             if access is None:
@@ -335,14 +384,12 @@ class DataCopyEngine:
             request = self._build_request(access, is_write=False)
             key = self._target_key(request)
             if key in retry_channels or key in full_targets:
-                deferred.append((access, key, request))
-                self._deferred_keys[key] = self._deferred_keys.get(key, 0) + 1
+                deferred.append(key, access, request)
                 continue
             if not system.submit(request):
                 self._register_retry(request, key)
                 full_targets.add(key)
-                deferred.append((access, key, request))
-                self._deferred_keys[key] = self._deferred_keys.get(key, 0) + 1
+                deferred.append(key, access, request)
                 continue
             self._in_flight += 1
 

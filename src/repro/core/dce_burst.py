@@ -239,11 +239,10 @@ class BurstDataCopyEngine(DataCopyEngine):
         max_in_flight = self._max_in_flight
         system = self.system
         deferred = self._deferred_reads
-        deferred_keys = self._deferred_keys
         cursor = self._cursor
         total = self._schedule_len
         read_domains = self._read_domains
-        while self._in_flight < max_in_flight and len(deferred) < max_in_flight:
+        while self._in_flight < max_in_flight and deferred.count < max_in_flight:
             if cursor >= total:
                 break
             window = min(max_in_flight - self._in_flight, total - cursor)
@@ -261,16 +260,14 @@ class BurstDataCopyEngine(DataCopyEngine):
                 domain = self._read_domain if read_domains is None else read_domains[row]
                 key = (domain, self._rch[row], False)
                 if key in retry_channels or key in full_targets:
-                    deferred.append((row, key, request))
-                    deferred_keys[key] = deferred_keys.get(key, 0) + 1
+                    deferred.append(key, row, request)
                     continue
                 if not system.submit_prepared(
                     request, self._rkeys[row], self._rrow[row]
                 ):
                     self._register_retry(request, key)
                     full_targets.add(key)
-                    deferred.append((row, key, request))
-                    deferred_keys[key] = deferred_keys.get(key, 0) + 1
+                    deferred.append(key, row, request)
                     continue
                 self._in_flight += 1
                 continue
@@ -296,8 +293,7 @@ class BurstDataCopyEngine(DataCopyEngine):
                 key = self._target_key(rejected)
                 self._register_retry(rejected, key)
                 full_targets.add(key)
-                deferred.append((cursor, key, rejected))
-                deferred_keys[key] = deferred_keys.get(key, 0) + 1
+                deferred.append(key, cursor, rejected)
                 cursor += 1
         self._cursor = cursor
 

@@ -12,11 +12,15 @@ Two entry points exist:
 * :meth:`DdrChannel.access` -- actually issues the implicit PRE/ACT plus the
   column command, mutates all state, and returns the resulting
   :class:`AccessTiming`.
+
+Queues that index pending work by open row subscribe a dirty set with
+:meth:`DdrChannel.watch_rows`; every bank whose open row changes (ACT, PRE,
+or a refresh closing its rank) is added to each subscribed set.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple
+from typing import Dict, List, NamedTuple, Set
 
 from repro.dram.bank import BankState
 from repro.dram.rank import RankState
@@ -75,6 +79,22 @@ class DdrChannel:
         self._last_write_data_end: float = float("-inf")
         self.bus_free_time: float = 0.0
         self.busy_data_ns: float = 0.0
+        #: Subscribed dirty sets (see :meth:`watch_rows`).  Mutated in place
+        #: only: the service kernels hold a reference across a burst.
+        self._row_watchers: List[Set[int]] = []
+
+    # ------------------------------------------------------------ row watchers
+    def watch_rows(self, dirty: Set[int]) -> None:
+        """Add the key of every bank whose open row changes to ``dirty``."""
+        self._row_watchers.append(dirty)
+
+    def unwatch_rows(self, dirty: Set[int]) -> None:
+        """Stop feeding ``dirty`` (matched by identity; unknown sets are ignored)."""
+        watchers = self._row_watchers
+        for index, watcher in enumerate(watchers):
+            if watcher is dirty:
+                del watchers[index]
+                return
 
     # ------------------------------------------------------------------ keys
     def bank_key_of(self, addr: DramAddress) -> int:
@@ -178,8 +198,12 @@ class DdrChannel:
             refreshed_until = rank.perform_due_refreshes(earliest)
             if refreshed_until > earliest:
                 banks_per_rank = self._banks_per_rank
+                watchers = self._row_watchers
                 for bank_key, state in self._banks.items():
                     if bank_key // banks_per_rank == addr_rank:
+                        if state.open_row is not None:
+                            for dirty in watchers:
+                                dirty.add(bank_key)
                         state.block_until(refreshed_until)
 
         open_row = bank.open_row
@@ -201,6 +225,8 @@ class DdrChannel:
             )
             act_time = bank.activate(act_candidate, row, timing)
             rank.record_activate(act_time)
+            for dirty in self._row_watchers:
+                dirty.add(key)
 
         # Inlined _cas_constraints (one call per serviced request otherwise).
         bg_key = addr_rank * self._bankgroups_per_rank + addr.bankgroup
@@ -253,6 +279,8 @@ class DdrChannel:
         clean reset paired with rewinding the simulation clock reproduces a
         freshly built channel exactly.
         """
+        for dirty in self._row_watchers:
+            dirty.update(self._banks)
         self._banks.clear()
         self._ranks = [
             RankState(timing=self.timing)

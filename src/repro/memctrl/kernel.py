@@ -145,7 +145,8 @@ class ServiceKernel:
                 return
             if frfcfs_fast:
                 # Inlined head of IndexedQueue.oldest_hit: hit-rich traffic
-                # resolves within the first SCAN_PREFIX queued requests.
+                # resolves within the first SCAN_PREFIX queued requests;
+                # otherwise the hit heads answer without a second prefix scan.
                 banks = channel._banks
                 request = None
                 scanned = 0
@@ -162,7 +163,7 @@ class ServiceKernel:
                     if len(queue._pending) <= scanned:
                         request = queue.first()
                     else:
-                        request = queue.oldest_hit(channel) or queue.first()
+                        request = queue.indexed_hit(channel) or queue.first()
             else:
                 request = policy.select(queue, channel)
             queue.remove(request)

@@ -182,6 +182,8 @@ class QosPriorityPolicy(SchedulerPolicy):
         return hit if hit is not None else bucket.first()
 
     def reset(self) -> None:
+        for bucket in self._classes.values():
+            bucket.clear()  # unsubscribes an indexed bucket from its channel
         self._classes.clear()
 
 

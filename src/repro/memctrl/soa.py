@@ -205,6 +205,7 @@ class SoaServiceKernel(ServiceKernel):
         heap = engine._queue
         banks = channel._banks
         ranks = channel._ranks
+        row_watchers = channel._row_watchers
 
         # Hoisted timing constants (read-only).
         tCCD_S = timing.tCCD_S
@@ -288,7 +289,7 @@ class SoaServiceKernel(ServiceKernel):
                     if len(queue._pending) <= scanned:
                         request = queue.first()
                     else:
-                        request = queue.oldest_hit(channel) or queue.first()
+                        request = queue.indexed_hit(channel) or queue.first()
             else:
                 request = policy.select(queue, channel)
             queue.remove(request)
@@ -345,6 +346,8 @@ class SoaServiceKernel(ServiceKernel):
                     )
                     act_time = bank.activate(act_candidate, row, timing)
                     rank.record_activate(act_time)
+                    for dirty in row_watchers:
+                        dirty.add(key)
 
                 bg_key = addr_rank * channel._bankgroups_per_rank + addr.bankgroup
                 last_bg = last_cas_bankgroup.get(bg_key)

@@ -533,17 +533,15 @@ def run_tenants(
     # a long event window in which no memory request completes and no tenant
     # finishes means nothing can make progress any more.
     stall_window = 1_000_000
-    steps_until_check = stall_window
     last_progress = (remaining, served_requests())
     while remaining > 0:
-        if not system.engine.step():
+        fired = system.engine.run_until_done(lambda: remaining <= 0, stall_window)
+        if fired < stall_window and remaining > 0:
             stuck = [driver.spec.name for driver in drivers if not driver.done]
             raise RuntimeError(
                 f"simulation ran dry with tenants still unfinished: {stuck}"
             )
-        steps_until_check -= 1
-        if steps_until_check == 0:
-            steps_until_check = stall_window
+        if fired == stall_window:
             progress = (remaining, served_requests())
             if progress == last_progress:
                 stuck = [driver.spec.name for driver in drivers if not driver.done]

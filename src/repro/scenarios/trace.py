@@ -538,9 +538,9 @@ class TraceReplayer:
     def execute(self) -> ReplayResult:
         """Replay the whole trace to completion and return its result."""
         self.begin()
-        while self._result is None:
-            if not self.system.engine.step():
-                raise RuntimeError("simulation ran dry before the replay completed")
+        self.system.engine.run_until_done(lambda: self._result is not None)
+        if self._result is None:
+            raise RuntimeError("simulation ran dry before the replay completed")
         return self._result
 
     # -- issue path ----------------------------------------------------------

@@ -125,6 +125,10 @@ class Event:
 _HeapEntry = Tuple
 
 
+def _never_done() -> bool:
+    return False
+
+
 class SimulationEngine:
     """Minimal event queue with an integer-tick time base.
 
@@ -306,13 +310,15 @@ class SimulationEngine:
         if self._cancelled_pending == 0:
             return
         live = []
-        for entry in self._queue:
+        queue = self._queue
+        for entry in queue:
             if len(entry) == 3 and entry[2].cancelled:
                 entry[2]._engine = None
             else:
                 live.append(entry)
-        self._queue = live
-        heapq.heapify(self._queue)
+        # In place: drive loops and service kernels hold the heap list.
+        queue[:] = live
+        heapq.heapify(queue)
         self._cancelled_pending = 0
 
     # ---------------------------------------------------------------- peeking
@@ -342,28 +348,7 @@ class SimulationEngine:
     # ---------------------------------------------------------------- running
     def step(self) -> bool:
         """Fire the next pending event.  Returns ``False`` if none remain."""
-        queue = self._queue
-        pop = heapq.heappop
-        while queue:
-            entry = pop(queue)
-            if len(entry) == 4:
-                ticks, _, now, callback = entry
-                self._now = now
-                self._now_ticks = ticks
-                self.events_fired += 1
-                callback()
-                return True
-            ticks, _, event = entry
-            event._engine = None
-            if event.cancelled:
-                self._cancelled_pending -= 1
-                continue
-            self._now = event.time
-            self._now_ticks = ticks
-            self.events_fired += 1
-            event.callback()
-            return True
-        return False
+        return self.run_until_done(_never_done, 1) == 1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run until the queue drains, ``until`` is reached, or ``max_events`` fire.
@@ -395,6 +380,44 @@ class SimulationEngine:
         finally:
             self._running = False
             self._until_ticks = None
+        return fired
+
+    def run_until_done(
+        self, is_done: Callable[[], bool], max_events: Optional[int] = None
+    ) -> int:
+        """Fire events until ``is_done()`` holds; return how many fired.
+
+        The one drive loop of every blocking ``execute`` (and of
+        :meth:`step`): it pops and dispatches inline, skipping cancelled
+        events without counting them.  It also stops when the queue runs dry
+        or ``max_events`` have fired; callers tell the three outcomes apart
+        by re-checking ``is_done()`` and comparing the count with their
+        budget.
+        """
+        fired = 0
+        queue = self._queue
+        pop = heapq.heappop
+        while not is_done():
+            if max_events is not None and fired >= max_events:
+                break
+            if not queue:
+                break
+            entry = pop(queue)
+            if len(entry) == 4:
+                ticks, _, now, callback = entry
+            else:
+                ticks, _, event = entry
+                event._engine = None
+                if event.cancelled:
+                    self._cancelled_pending -= 1
+                    continue
+                now = event.time
+                callback = event.callback
+            self._now = now
+            self._now_ticks = ticks
+            self.events_fired += 1
+            fired += 1
+            callback()
         return fired
 
     def run_until(self, time_ns: float, max_events: Optional[int] = None) -> int:

@@ -193,19 +193,18 @@ class SoftwareTransferEngine:
     ) -> TransferResult:
         """Run the transfer to completion and return its result."""
         self.begin(descriptor, contenders=contenders)
-        system = self.system
-        events = 0
-        while self._result is None:
-            if max_events is not None and events >= max_events:
+        fired = self.system.engine.run_until_done(
+            lambda: self._result is not None, max_events
+        )
+        if self._result is None:
+            if max_events is not None and fired >= max_events:
                 raise RuntimeError(
                     "software transfer did not complete within the event budget; "
                     "likely a backpressure deadlock"
                 )
-            if not system.engine.step():
-                raise RuntimeError(
-                    "simulation ran out of events before the transfer completed"
-                )
-            events += 1
+            raise RuntimeError(
+                "simulation ran out of events before the transfer completed"
+            )
         return self._result
 
 

@@ -782,18 +782,17 @@ class ServingDriver:
         # A long event window with no completed LLM request and no served
         # memory request means nothing can make progress any more.
         stall_window = 2_000_000
-        steps_until_check = stall_window
         last_progress = (-1, -1.0)
+        engine = self.system.engine
         while not outcome:
-            if not self.system.engine.step():
+            fired = engine.run_until_done(lambda: bool(outcome), stall_window)
+            if fired < stall_window and not outcome:
                 raise RuntimeError(
                     "simulation ran dry with "
                     f"{self._total_requests - self._completed_requests} "
                     "LLM request(s) unfinished"
                 )
-            steps_until_check -= 1
-            if steps_until_check == 0:
-                steps_until_check = stall_window
+            if fired == stall_window:
                 progress = (self._completed_requests, float(self.memory_requests))
                 if progress == last_progress:
                     raise RuntimeError(

@@ -348,9 +348,9 @@ class MemcpyEngine:
     def execute(self, src_base: int, dst_base: int, total_bytes: int) -> TransferResult:
         """Copy ``total_bytes`` from ``src_base`` to ``dst_base`` using all threads."""
         self.begin(src_base, dst_base, total_bytes)
-        while self._result is None:
-            if not self.system.engine.step():
-                raise RuntimeError("simulation ran dry before memcpy completed")
+        self.system.engine.run_until_done(lambda: self._result is not None)
+        if self._result is None:
+            raise RuntimeError("simulation ran dry before memcpy completed")
         return self._result
 
 

@@ -119,9 +119,9 @@ def measure_read_bandwidth(
     )
     start_ns = system.now
     probe.pump()
-    while not probe.done:
-        if not system.engine.step():
-            raise RuntimeError("simulation ran dry before the bandwidth probe finished")
+    system.engine.run_until_done(lambda: probe.done)
+    if not probe.done:
+        raise RuntimeError("simulation ran dry before the bandwidth probe finished")
     elapsed = probe.last_completion_ns - start_ns
     if elapsed <= 0:
         return 0.0

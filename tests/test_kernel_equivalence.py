@@ -148,12 +148,27 @@ class TestIndexedPickEqualsLinearScan:
         identical service order at O(banks) per decision.
         """
 
+        coords = {}
+
         class ReferenceLinearScan(FrFcfsPolicy):
-            """Literal reimplementation of the seed's front-to-back scan."""
+            """The seed's front-to-back scan, over one open-row snapshot.
+
+            Same decisions as asking ``channel.row_state`` per request (the
+            channel cannot change during a pick), at a fraction of the cost
+            on a 10k-deep queue.  Coordinates come from the decoded address,
+            not from the queue's own bookkeeping.
+            """
 
             def select(self, queue, channel):
+                open_rows = {
+                    key: bank.open_row for key, bank in channel._banks.items()
+                }
                 for request in queue.requests():
-                    if channel.row_state(request.dram_addr) == "hit":
+                    coord = coords.get(request)
+                    if coord is None:
+                        addr = request.dram_addr
+                        coord = coords[request] = (channel.bank_key_of(addr), addr.row)
+                    if open_rows.get(coord[0]) == coord[1]:
                         return request
                 return queue.first()
 

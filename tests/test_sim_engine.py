@@ -354,3 +354,49 @@ def test_advance_to_error_path_handles_callback_entries(engine):
     engine.schedule_callback(5.0, lambda: None)
     with pytest.raises(RuntimeError):
         engine.advance_to(10.0)
+
+
+def test_run_until_done_stops_when_done_and_counts_fired(engine):
+    fired = []
+    for delay in (1.0, 2.0, 3.0, 4.0):
+        engine.schedule_callback(delay, lambda d=delay: fired.append(d))
+    before = engine.events_fired
+    assert engine.run_until_done(lambda: len(fired) >= 2) == 2
+    assert fired == [1.0, 2.0] and engine.now == 2.0
+    assert engine.events_fired == before + 2
+    assert engine.run_until_done(lambda: True) == 0
+
+
+def test_run_until_done_stops_on_budget_and_when_dry(engine):
+    for delay in (1.0, 2.0, 3.0):
+        engine.schedule_after(delay, lambda: None)
+    assert engine.run_until_done(lambda: False, max_events=2) == 2
+    assert engine.now == 2.0
+    assert engine.run_until_done(lambda: False, max_events=5) == 1
+    assert len(engine) == 0
+
+
+def test_run_until_done_skips_cancelled_events_without_counting(engine):
+    seen = []
+    engine.schedule_at(1.0, lambda: seen.append("a")).cancel()
+    engine.schedule_at(2.0, lambda: seen.append("b"))
+    assert engine.run_until_done(lambda: False) == 1
+    assert seen == ["b"] and engine.events_fired == 1 and len(engine) == 0
+
+
+def test_run_until_done_survives_compaction_inside_a_callback(engine):
+    """A callback that triggers heap compaction must not strand the loop."""
+    fired = []
+    doomed = [engine.schedule_at(5.0, lambda: fired.append("x")) for _ in range(80)]
+
+    def cancel_all():
+        fired.append("cancel")
+        for event in doomed:
+            event.cancel()
+        engine.schedule_at(3.0, lambda: fired.append("new"))
+
+    engine.schedule_at(1.0, cancel_all)
+    engine.schedule_at(6.0, lambda: fired.append("after"))
+    assert engine.run_until_done(lambda: False) == 3
+    assert fired == ["cancel", "new", "after"]
+    assert len(engine) == 0
