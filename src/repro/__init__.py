@@ -38,48 +38,56 @@ numbers.
 import warnings as _warnings
 from typing import Optional as _Optional
 
-from repro.api import (
-    RequestRecord,
-    RunResult,
-    Session,
-    SessionBuilder,
-    TenantBreakdown,
-    TransferBackend,
-    available_backends,
-    default_backend_name,
-    register_backend,
-)
-from repro.fabric import available_fabrics, register_fabric
-from repro.memctrl.kernel import available_kernels
-from repro.memctrl.policies import available_policies, register_policy
-from repro.memctrl.pump import available_pumps
-from repro.registry import VariantRegistry, Variants
-from repro.sim.config import (
-    CpuConfig,
-    DcePolicy,
-    DesignPoint,
-    DramTimingConfig,
-    MemoryDomainConfig,
-    PimMmuConfig,
-    SystemConfig,
-)
-from repro.sim.engine import SimulationEngine as _SimulationEngine
-from repro.sim.stats import StatsRegistry as _StatsRegistry
-from repro.system import PimSystem
-from repro.system import build_system as _build_system
-from repro.transfer import TransferDescriptor, TransferDirection, TransferResult
-from repro.scenarios import ScenarioSpec, ServingSpec, TenantSpec
-from repro.workloads import LlmTenantSpec, ModelSpec
+from repro._lazy import exported_names as _exported_names
+from repro._lazy import lazy_exports as _lazy_exports
+from repro.sim.config import DesignPoint as _DesignPoint
+
+#: Defining module -> the names re-exported from it.  Each resolves on first
+#: access, so ``import repro`` loads only what a run goes on to execute.
+_EXPORTS = {
+    "repro.api": (
+        "RequestRecord",
+        "RunResult",
+        "Session",
+        "SessionBuilder",
+        "TenantBreakdown",
+        "TransferBackend",
+        "available_backends",
+        "default_backend_name",
+        "register_backend",
+    ),
+    "repro.fabric": ("available_fabrics", "register_fabric"),
+    "repro.memctrl.kernel": ("available_kernels",),
+    "repro.memctrl.policies": ("available_policies", "register_policy"),
+    "repro.memctrl.pump": ("available_pumps",),
+    "repro.registry": ("VariantRegistry", "Variants"),
+    "repro.sim.config": (
+        "CpuConfig",
+        "DcePolicy",
+        "DesignPoint",
+        "DramTimingConfig",
+        "MemoryDomainConfig",
+        "PimMmuConfig",
+        "SystemConfig",
+    ),
+    "repro.system": ("PimSystem",),
+    "repro.transfer": ("TransferDescriptor", "TransferDirection", "TransferResult"),
+    "repro.scenarios.registry": ("ScenarioSpec",),
+    "repro.scenarios.serving": ("ServingSpec",),
+    "repro.scenarios.tenant": ("TenantSpec",),
+    "repro.workloads.llm": ("LlmTenantSpec", "ModelSpec"),
+}
+__getattr__ = _lazy_exports(globals(), _EXPORTS)
 
 __version__ = "1.5.0"
 
 
 def build_system(
-    config: _Optional[SystemConfig] = None,
-    design_point: DesignPoint = DesignPoint.BASELINE,
-    engine: _Optional[_SimulationEngine] = None,
-    stats: _Optional[_StatsRegistry] = None,
-) -> PimSystem:
+    config: _Optional["SystemConfig"] = None,
+    design_point: "DesignPoint" = _DesignPoint.BASELINE,
+    engine: _Optional["SimulationEngine"] = None,
+    stats: _Optional["StatsRegistry"] = None,
+) -> "PimSystem":
     """Deprecated shim for the pre-``Session`` quickstart path.
 
     Builds the same :class:`~repro.system.PimSystem` it always did (internal
@@ -93,45 +101,11 @@ def build_system(
         DeprecationWarning,
         stacklevel=2,
     )
+    from repro.system import build_system as _build_system
+
     return _build_system(
         config=config, design_point=design_point, engine=engine, stats=stats
     )
 
 
-__all__ = [
-    "CpuConfig",
-    "DcePolicy",
-    "DesignPoint",
-    "DramTimingConfig",
-    "LlmTenantSpec",
-    "MemoryDomainConfig",
-    "ModelSpec",
-    "PimMmuConfig",
-    "PimSystem",
-    "RequestRecord",
-    "RunResult",
-    "ScenarioSpec",
-    "ServingSpec",
-    "Session",
-    "SessionBuilder",
-    "SystemConfig",
-    "TenantBreakdown",
-    "TenantSpec",
-    "TransferBackend",
-    "TransferDescriptor",
-    "TransferDirection",
-    "TransferResult",
-    "VariantRegistry",
-    "Variants",
-    "__version__",
-    "available_backends",
-    "available_fabrics",
-    "available_kernels",
-    "available_policies",
-    "available_pumps",
-    "build_system",
-    "default_backend_name",
-    "register_backend",
-    "register_fabric",
-    "register_policy",
-]
+__all__ = _exported_names(_EXPORTS, "__version__", "build_system")

@@ -38,10 +38,13 @@ from typing import (
     runtime_checkable,
 )
 
+from repro.core.dce import create_dce
 from repro.registry import VariantRegistry
 from repro.sim.config import DcePolicy, DesignPoint
 from repro.transfer.descriptor import TransferDescriptor
 from repro.transfer.result import TransferResult
+from repro.upmem_runtime.engine import SoftwareTransferEngine
+from repro.workloads.memcpy import MemcpyEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.host.os_scheduler import SchedulableThread
@@ -141,8 +144,6 @@ class DceBackend:
         return isinstance(work, TransferDescriptor)
 
     def _engine(self, system: "PimSystem"):
-        from repro.core.dce import create_dce
-
         return create_dce(system, policy=self.policy)
 
     def execute(
@@ -197,8 +198,6 @@ class SoftwareBackend:
         work: TransferWork,
         contenders: Sequence["SchedulableThread"] = (),
     ) -> TransferResult:
-        from repro.upmem_runtime.engine import SoftwareTransferEngine
-
         descriptor = _require_descriptor(self, work)
         return SoftwareTransferEngine(system).execute(descriptor, contenders=contenders)
 
@@ -209,8 +208,6 @@ class SoftwareBackend:
         on_complete: Optional[Callable[[TransferResult], None]] = None,
         shared: bool = False,
     ) -> None:
-        from repro.upmem_runtime.engine import SoftwareTransferEngine
-
         descriptor = _require_descriptor(self, work)
         engine = SoftwareTransferEngine(system, stop_scheduler_on_finish=not shared)
         engine.begin(descriptor, on_complete=on_complete)
@@ -232,8 +229,6 @@ class MemcpyBackend:
         work: TransferWork,
         contenders: Sequence["SchedulableThread"] = (),
     ) -> TransferResult:
-        from repro.workloads.memcpy import MemcpyEngine
-
         span = _require_span(self, work)
         if contenders:
             raise ValueError("the memcpy backend does not take contender threads")
@@ -249,8 +244,6 @@ class MemcpyBackend:
         on_complete: Optional[Callable[[TransferResult], None]] = None,
         shared: bool = False,
     ) -> None:
-        from repro.workloads.memcpy import MemcpyEngine
-
         span = _require_span(self, work)
         engine = MemcpyEngine(
             system, tenant=span.tenant, stop_scheduler_on_finish=not shared

@@ -44,12 +44,14 @@ import warnings
 from pathlib import Path
 from typing import Dict, Iterable, Optional
 
+from repro.energy.system import SystemEnergyModel
 from repro.registry import Variants
 from repro.sim.config import DesignPoint, SystemConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.stats import StatsRegistry
 from repro.system import PimSystem, build_mapper
 from repro.transfer.descriptor import TransferDescriptor, TransferDirection
+from repro.workloads.microbench import run_transfer_experiment_on
 
 from repro.api.backends import (
     CopySpan,
@@ -365,8 +367,6 @@ class Session:
                 raise ValueError(
                     "contention is not supported on DRAM->DRAM copy backends"
                 )
-            from repro.energy.system import SystemEnergyModel
-
             result = chosen.execute(system, span)
             energy = SystemEnergyModel(self.config).evaluate(
                 result, include_pim_mmu=chosen.uses_dce
@@ -387,8 +387,6 @@ class Session:
                 stats=self.stats.snapshot(),
                 raw=result,
             )
-
-        from repro.workloads.microbench import run_transfer_experiment_on
 
         contender_factory = contention.factory() if contention is not None else None
         experiment = run_transfer_experiment_on(

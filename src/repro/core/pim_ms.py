@@ -22,13 +22,14 @@ sweep begins.
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Sequence, Tuple
 
 from repro.mapping.partition import pim_core_coordinates
 from repro.sim.config import MemoryDomainConfig
 from repro.transfer.descriptor import TransferDescriptor
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 class ScheduledAccess(NamedTuple):
@@ -147,6 +148,8 @@ class PimAwareScheduler:
         position-major / group-fast, skipping positions past a group's length
         (the ``-1`` padding below).
         """
+        import numpy as np
+
         groups = self._grouped_by_channel(descriptor)
         chunks = descriptor.chunks_per_core
         num_groups = len(groups)
@@ -177,6 +180,8 @@ class PimAwareScheduler:
         self, descriptor: TransferDescriptor
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The :meth:`schedule_serial` order as ``(core_ids, chunks, desc_indices)`` columns."""
+        import numpy as np
+
         chunks = descriptor.chunks_per_core
         count = len(descriptor.pim_core_ids)
         desc_indices = np.repeat(np.arange(count, dtype=np.int64), chunks)

@@ -25,8 +25,6 @@ import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-import numpy as np
-
 from repro.core.dce import create_dce
 from repro.core.driver import PimMmuDevice
 from repro.host.allocator import HostAllocator
@@ -36,6 +34,8 @@ from repro.transfer.descriptor import TransferDescriptor, TransferDirection
 from repro.transfer.result import TransferResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (system imports HetMap)
+    import numpy as np
+
     from repro.system import PimSystem
 
 
@@ -129,6 +129,8 @@ class PimMmuRuntime:
         return result
 
     def _functional_copy(self, op: PimMmuOp, host_buffer: np.ndarray) -> None:
+        import numpy as np
+
         flat = np.ascontiguousarray(host_buffer).view(np.uint8).reshape(-1)
         if flat.nbytes < op.size_per_pim * len(op.pim_id_arr):
             raise ValueError("host buffer smaller than the transfer it backs")

@@ -134,6 +134,17 @@ class MeshTopology(Topology):
                             stats.counter(f"{label}/flits"),
                             stats.counter(f"{label}/stalls"),
                         )
+        # X-Y routes depend only on the grid, so the first link of the route
+        # from every node to every other node is fixed here once; injection
+        # and every hop then cost one lookup.  Keyed by coordinates, so the
+        # endpoint placement is still read on each injection.
+        nodes = [self._coord(index) for index in range(width * height)]
+        self._next_link: Dict[Tuple[Coord, Coord], _Link] = {
+            (node, dest): self._links[(node, self._next_hop(node, dest))]
+            for node in nodes
+            for dest in nodes
+            if node != dest
+        }
         self._injected = stats.counter("fabric/injected")
         self._delivered = stats.counter("fabric/delivered")
         self._hops = stats.counter("fabric/hops")
@@ -187,9 +198,9 @@ class MeshTopology(Topology):
             self._injected.add(1)
             self._try_deliver(flit)
             return True
-        link = self._links[(src, self._next_hop(src, dest))]
+        link = self._next_link[(src, dest)]
         if link.credits == 0:
-            link.stalls.add(1)
+            link.stalls.value += 1
             return False
         link.credits -= 1
         link.flits.add(1)
@@ -212,7 +223,7 @@ class MeshTopology(Topology):
             # engine step so the producer retries in event order.
             self.engine.schedule_callback(self.engine.now, callback)
             return
-        self._links[(src, self._next_hop(src, dest))].listeners.append(callback)
+        self._next_link[(src, dest)].listeners.append(callback)
 
     # ------------------------------------------------------------ flit motion
     def _arrive(self, flit: _Flit) -> None:
@@ -224,14 +235,14 @@ class MeshTopology(Topology):
         if flit.coord == flit.dest:
             self._try_deliver(flit)
             return
-        next_link = self._links[(flit.coord, self._next_hop(flit.coord, flit.dest))]
+        next_link = self._next_link[(flit.coord, flit.dest)]
         if next_link.credits > 0:
             self._forward(flit, next_link)
         else:
             # Hold the current buffer slot; the credit-return of next_link
             # will pick this flit up FIFO.  Head-of-line blocking is the
             # modelled behaviour of a slotted router.
-            next_link.stalls.add(1)
+            next_link.stalls.value += 1
             next_link.waiting.append(flit)
 
     def _forward(self, flit: _Flit, next_link: _Link) -> None:

@@ -13,12 +13,13 @@ address inside the domain, a property the test suite checks with hypothesis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Protocol, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Protocol, Sequence, Tuple
 
 from repro.mapping.address import DramAddress
 from repro.sim.config import CACHE_LINE_BYTES, MemoryDomainConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 BLOCK_OFFSET_BITS = 6
 
@@ -220,14 +221,15 @@ class BitFieldMapping:
         # elementwise on a numpy int64 array, so the batch decoder is compiled
         # from the identical terms -- the scalar and vector paths can never
         # compute different bits.  Fields the layout leaves empty become
-        # explicit zero columns so every field is a parallel array.
+        # explicit zero columns (``block & 0``) so every field is a parallel
+        # array; the decoder never names numpy, so compiling it needs none.
         batch_lines = ["def decode_block_batch(block):"]
         for field_name in FIELD_NAMES:
             expression = " | ".join(terms[field_name])
             if expression:
                 batch_lines.append(f"    {field_name} = {expression}")
             else:
-                batch_lines.append(f"    {field_name} = np.zeros_like(block)")
+                batch_lines.append(f"    {field_name} = block & 0")
         for hash_ in self.xor_hashes:
             width = self._field_widths[hash_.target]
             mask = (1 << width) - 1
@@ -273,7 +275,6 @@ class BitFieldMapping:
         namespace: Dict[str, object] = {
             "DramAddress": DramAddress,
             "DecodedColumns": DecodedColumns,
-            "np": np,
         }
         exec("\n".join(decode_lines), namespace)
         exec("\n".join(encode_lines), namespace)
@@ -321,6 +322,8 @@ class BitFieldMapping:
         decoder is compiled from the same generated expressions), with the
         bounds check vectorised.  ``phys_addrs`` is any integer array-like.
         """
+        import numpy as np
+
         addrs = np.ascontiguousarray(phys_addrs, dtype=np.int64)
         if addrs.size:
             low = int(addrs.min())

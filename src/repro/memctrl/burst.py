@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, Union
 
-import numpy as np
-
 from repro.memctrl.request import MemoryRequest, RequestStream
 
 _NO_TENANT = 0
@@ -66,6 +64,8 @@ class RequestBurst:
         on_complete: Optional[Callable[[MemoryRequest], None]] = None,
         pim_core_ids: Union[None, int, Sequence[int]] = None,
     ) -> None:
+        import numpy as np
+
         addrs = np.ascontiguousarray(phys_addrs, dtype=np.int64)
         if addrs.ndim != 1:
             raise ValueError("phys_addrs must be one-dimensional")

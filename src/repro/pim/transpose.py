@@ -15,8 +15,6 @@ hypothesis.
 
 from __future__ import annotations
 
-import numpy as np
-
 TILE_BYTES = 64
 WORD_BYTES = 8
 
@@ -33,6 +31,8 @@ def transpose_for_pim(data: bytes) -> bytes:
     _check_payload(data)
     if not data:
         return b""
+    import numpy as np
+
     array = np.frombuffer(data, dtype=np.uint8)
     tiles = array.reshape(-1, WORD_BYTES, WORD_BYTES)
     return tiles.transpose(0, 2, 1).tobytes()

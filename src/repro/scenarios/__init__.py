@@ -17,7 +17,8 @@ orchestration layer:
   :class:`ScenarioSpec` that plugs into the parallel runner and the on-disk
   experiment cache; :data:`SCENARIOS` names the built-in mixes of
   :mod:`repro.scenarios.mixes` (registered with the
-  :func:`register_scenario` decorator).
+  :func:`register_scenario` decorator; the registry loads the built-in
+  families itself).
 * :mod:`repro.scenarios.serving` / :mod:`repro.scenarios.llm` -- the LLM
   inference-serving family (``--family llm``): :class:`ServingSpec` sweeps
   over :mod:`repro.workloads.llm` with per-request TTFT/ITL SLO tables
@@ -26,71 +27,45 @@ orchestration layer:
 Run them with ``python -m repro scenarios`` (see ``docs/scenarios.md``).
 """
 
-from repro.scenarios.registry import (
-    SCENARIOS,
-    Scenario,
-    ScenarioSpec,
-    generate_scenarios,
-    register_scenario,
-    render_scenario,
-    select_scenarios,
-)
-from repro.scenarios.tenant import (
-    TENANT_KINDS,
-    ScenarioOutcome,
-    TenantResult,
-    TenantSpec,
-    run_scenario,
-)
-from repro.scenarios.serving import (
-    SERVING_TABLE_COLUMNS,
-    ServingSpec,
-    render_serving_table,
-)
-from repro.scenarios.trace import (
-    TRACE_FORMAT,
-    TRACE_PATTERNS,
-    ReplayResult,
-    Trace,
-    TraceEvent,
-    TraceRecorder,
-    TraceReplayer,
-    load_trace,
-    save_trace,
-    synthesize_trace,
-)
+from repro._lazy import exported_names, lazy_exports
 
-# Importing the package registers the built-in mixes, the LLM serving
-# sweeps and the fabric sweeps (registration order fixes the --list order:
-# mixes first).
-from repro.scenarios import mixes as _mixes  # noqa: F401
-from repro.scenarios import llm as _llm  # noqa: F401
-from repro.scenarios import fabric as _fabric  # noqa: F401
-
-__all__ = [
-    "SCENARIOS",
-    "SERVING_TABLE_COLUMNS",
-    "TENANT_KINDS",
-    "TRACE_FORMAT",
-    "TRACE_PATTERNS",
-    "ReplayResult",
-    "Scenario",
-    "ScenarioOutcome",
-    "ScenarioSpec",
-    "ServingSpec",
-    "TenantResult",
-    "TenantSpec",
-    "Trace",
-    "TraceEvent",
-    "TraceRecorder",
-    "TraceReplayer",
-    "generate_scenarios",
-    "load_trace",
-    "register_scenario",
-    "render_scenario",
-    "render_serving_table",
-    "run_scenario",
-    "save_trace",
-    "select_scenarios",
-    "synthesize_trace",
-]
+#: Defining module -> the names re-exported from it, resolved on first access:
+#: a run that only replays traces or composes tenants never loads the
+#: registry and the experiment layer it builds on.
+_EXPORTS = {
+    "repro.scenarios.registry": (
+        "SCENARIOS",
+        "Scenario",
+        "ScenarioSpec",
+        "generate_scenarios",
+        "register_scenario",
+        "render_scenario",
+        "select_scenarios",
+    ),
+    "repro.scenarios.tenant": (
+        "TENANT_KINDS",
+        "ScenarioOutcome",
+        "TenantResult",
+        "TenantSpec",
+        "run_scenario",
+    ),
+    "repro.scenarios.serving": (
+        "SERVING_TABLE_COLUMNS",
+        "ServingSpec",
+        "render_serving_table",
+    ),
+    "repro.scenarios.trace": (
+        "TRACE_FORMAT",
+        "TRACE_PATTERNS",
+        "ReplayResult",
+        "Trace",
+        "TraceEvent",
+        "TraceRecorder",
+        "TraceReplayer",
+        "load_trace",
+        "save_trace",
+        "synthesize_trace",
+    ),
+}
+__getattr__ = lazy_exports(globals(), _EXPORTS)
+__all__ = exported_names(_EXPORTS)

@@ -129,9 +129,9 @@ class Scenario:
         return render_scenario(outcomes[0])
 
 
-#: Registry of named scenarios, populated by :mod:`repro.scenarios.mixes` and
-#: :mod:`repro.scenarios.llm` (imported from ``repro.scenarios.__init__``)
-#: and extensible by users via :func:`register_scenario`.
+#: Registry of named scenarios, populated by the built-in families (imported
+#: at the end of this module) and extensible by users via
+#: :func:`register_scenario`.
 SCENARIOS: Dict[str, Scenario] = {}
 
 #: A spec factory: returns the scenario's spec, or a tuple of specs for
@@ -266,3 +266,10 @@ __all__ = [
     "render_scenario",
     "select_scenarios",
 ]
+
+# The built-in families register themselves on import, so importing them here
+# -- after everything they use from this module exists -- gives every reader
+# of SCENARIOS all of them.  The order fixes the ``--list`` order: mixes first.
+from repro.scenarios import mixes as _mixes  # noqa: E402,F401
+from repro.scenarios import llm as _llm  # noqa: E402,F401
+from repro.scenarios import fabric as _fabric  # noqa: E402,F401

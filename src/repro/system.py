@@ -17,9 +17,7 @@ design points.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from repro.core.hetmap import HeterogeneousMapper
 from repro.fabric import create_fabric
@@ -40,6 +38,9 @@ from repro.pim.topology import PimTopology
 from repro.sim.config import DesignPoint, SystemConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.stats import StatsRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 class TraceHookHandle:
@@ -223,6 +224,8 @@ class PimSystem:
         same cache the scalar path fills); otherwise it falls back to the
         generic per-element walk.
         """
+        import numpy as np
+
         cores = np.ascontiguousarray(pim_core_ids, dtype=np.int64)
         offsets = np.ascontiguousarray(byte_offsets, dtype=np.int64)
         n = cores.shape[0]
@@ -366,6 +369,8 @@ class PimSystem:
             domains = None
             single_domain = PIM_DOMAIN
         else:
+            import numpy as np
+
             dram_mask = ~pim_mask
             dram_cols = mapper.mapping_for(DRAM_DOMAIN).map_batch(addrs[dram_mask])
             pim_cols = mapper.mapping_for(PIM_DOMAIN).map_batch(

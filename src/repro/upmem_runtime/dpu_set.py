@@ -10,9 +10,7 @@ results back.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.host.allocator import HostAllocator
 from repro.pim.kernel import KernelProfile, estimate_kernel_time_ns
@@ -21,6 +19,9 @@ from repro.system import PimSystem
 from repro.transfer.descriptor import TransferDescriptor, TransferDirection
 from repro.transfer.result import TransferResult
 from repro.upmem_runtime.engine import SoftwareTransferEngine
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 class DpuSet:
@@ -106,6 +107,8 @@ class DpuSet:
         offsets: List[int],
         heap_offset: int,
     ) -> None:
+        import numpy as np
+
         flat = np.ascontiguousarray(host_buffer).view(np.uint8).reshape(-1)
         needed = max(offset + size_per_dpu for offset in offsets)
         if flat.nbytes < needed:

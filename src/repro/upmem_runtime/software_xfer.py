@@ -19,15 +19,16 @@ bounded.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
 
 from repro.memctrl.burst import MIN_BURST_WINDOW, RequestBurst
 from repro.memctrl.request import MemoryRequest, RequestStream
 from repro.sim.config import CACHE_LINE_BYTES
 from repro.transfer.descriptor import TransferDirection
 from repro.system import PimSystem
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 class SoftwareCopyThread:
@@ -165,6 +166,8 @@ class SoftwareCopyThread:
 
     def _read_addrs(self, chunk: int, window: int) -> np.ndarray:
         """Source addresses of ``window`` consecutive chunks, as one column."""
+        import numpy as np
+
         offsets = (chunk + np.arange(window, dtype=np.int64)) * CACHE_LINE_BYTES
         if self.direction is TransferDirection.DRAM_TO_PIM:
             return self.dram_base_addr + offsets

@@ -17,39 +17,24 @@ Everything the evaluation section runs lives here:
   (see ``docs/llm_serving.md``).
 """
 
-from repro.workloads.memcpy import MemcpyEngine, MemcpyThread
-from repro.workloads.microbench import TransferExperiment, run_transfer_experiment
-from repro.workloads.patterns import AccessPattern, measure_read_bandwidth
-from repro.workloads.prim import PRIM_WORKLOADS, PrimWorkload
+from repro._lazy import exported_names, lazy_exports
 
-# Imported last: repro.workloads.llm pulls in repro.api.results, which must
-# not re-enter this package mid-initialisation.
-from repro.workloads.llm import (
-    LlmTenantSpec,
-    ModelSpec,
-    ServingDriver,
-    ServingOutcome,
-    StepTraffic,
-    compile_decode_step,
-    compile_prefill,
-    run_serving,
-)
-
-__all__ = [
-    "AccessPattern",
-    "LlmTenantSpec",
-    "MemcpyEngine",
-    "MemcpyThread",
-    "ModelSpec",
-    "PRIM_WORKLOADS",
-    "PrimWorkload",
-    "ServingDriver",
-    "ServingOutcome",
-    "StepTraffic",
-    "TransferExperiment",
-    "compile_decode_step",
-    "compile_prefill",
-    "measure_read_bandwidth",
-    "run_serving",
-    "run_transfer_experiment",
-]
+#: Defining module -> the names re-exported from it, resolved on first access.
+_EXPORTS = {
+    "repro.workloads.memcpy": ("MemcpyEngine", "MemcpyThread"),
+    "repro.workloads.microbench": ("TransferExperiment", "run_transfer_experiment"),
+    "repro.workloads.patterns": ("AccessPattern", "measure_read_bandwidth"),
+    "repro.workloads.prim": ("PRIM_WORKLOADS", "PrimWorkload"),
+    "repro.workloads.llm": (
+        "LlmTenantSpec",
+        "ModelSpec",
+        "ServingDriver",
+        "ServingOutcome",
+        "StepTraffic",
+        "compile_decode_step",
+        "compile_prefill",
+        "run_serving",
+    ),
+}
+__getattr__ = lazy_exports(globals(), _EXPORTS)
+__all__ = exported_names(_EXPORTS)

@@ -14,8 +14,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, Optional
 
-import numpy as np
-
 from repro.memctrl.burst import MIN_BURST_WINDOW, RequestBurst
 from repro.memctrl.request import MemoryRequest, RequestStream
 from repro.sim.config import CACHE_LINE_BYTES
@@ -132,6 +130,8 @@ class MemcpyThread:
 
     def _submit_read_burst(self, chunk: int, window: int) -> bool:
         """Issue the whole free read window as one burst; False when blocked."""
+        import numpy as np
+
         addrs = (
             self.src_base
             + (chunk + np.arange(window, dtype=np.int64)) * CACHE_LINE_BYTES

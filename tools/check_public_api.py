@@ -6,8 +6,11 @@ Asserts that the documented surface and the exported surface agree:
 1. every symbol listed in the ``repro`` / ``repro.api`` tables of
    ``docs/api.md`` is present in the corresponding package's ``__all__``
    (the docs cannot promise names the package does not export);
-2. every name in ``repro.__all__`` and ``repro.api.__all__`` actually
-   resolves via ``getattr`` (no stale exports);
+2. every name in the ``__all__`` of ``repro``, ``repro.api``,
+   ``repro.scenarios`` and ``repro.workloads`` actually resolves via
+   ``getattr`` (no stale exports; the package namespaces resolve names
+   lazily, so a typo in a name-to-module map would otherwise surface only at
+   a user's first access);
 3. every registered transfer backend instantiates, self-reports the name it
    is registered under, and every design point resolves to a registered
    default backend;
@@ -36,6 +39,9 @@ SECTIONS = {
     "## `repro.api`": "repro.api",
     "## `repro`": "repro",
 }
+
+#: Packages whose every ``__all__`` name must resolve.
+EXPORTING_MODULES = ("repro", "repro.api", "repro.scenarios", "repro.workloads")
 
 _HEADING_RE = re.compile(r"^## ")
 _BACKTICK_RE = re.compile(r"`([^`]+)`")
@@ -73,9 +79,19 @@ def check_section(text: str, heading: str, module_name: str) -> List[str]:
             f"{module_name}.__all__ is missing documented symbol {name!r} "
             f"(documented under {heading!r} in docs/api.md)"
         )
-    for name in sorted(exported):
-        if not hasattr(module, name):
-            errors.append(f"{module_name}.__all__ exports unresolvable name {name!r}")
+    return errors
+
+
+def check_exports(module_name: str) -> List[str]:
+    module = __import__(module_name, fromlist=["__all__"])
+    errors: List[str] = []
+    for name in sorted(getattr(module, "__all__", ())):
+        try:
+            getattr(module, name)
+        except (AttributeError, ImportError) as error:
+            errors.append(
+                f"{module_name}.__all__ exports unresolvable name {name!r}: {error}"
+            )
     return errors
 
 
@@ -154,6 +170,8 @@ def main() -> int:
     errors: List[str] = []
     for heading, module_name in SECTIONS.items():
         errors.extend(check_section(text, heading, module_name))
+    for module_name in EXPORTING_MODULES:
+        errors.extend(check_exports(module_name))
     errors.extend(check_backends())
     errors.extend(check_scenarios())
     if errors:
