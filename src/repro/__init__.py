@@ -57,9 +57,7 @@ _EXPORTS = {
         "register_backend",
     ),
     "repro.fabric": ("available_fabrics", "register_fabric"),
-    "repro.memctrl.kernel": ("available_kernels",),
     "repro.memctrl.policies": ("available_policies", "register_policy"),
-    "repro.memctrl.pump": ("available_pumps",),
     "repro.registry": ("VariantRegistry", "Variants"),
     "repro.sim.config": (
         "CpuConfig",

@@ -38,7 +38,7 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.core.dce import create_dce
+from repro.core.dce import DataCopyEngine
 from repro.registry import VariantRegistry
 from repro.sim.config import DcePolicy, DesignPoint
 from repro.transfer.descriptor import TransferDescriptor
@@ -144,7 +144,7 @@ class DceBackend:
         return isinstance(work, TransferDescriptor)
 
     def _engine(self, system: "PimSystem"):
-        return create_dce(system, policy=self.policy)
+        return DataCopyEngine(system, policy=self.policy)
 
     def execute(
         self,

@@ -40,7 +40,6 @@ Open a session directly, as a context manager, or through the fluent
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 from typing import Dict, Iterable, Optional
 
@@ -64,34 +63,6 @@ from repro.api.results import RunResult, tenant_breakdown_from_result
 KIB = 1024
 
 
-def _legacy_variants(
-    memctrl_policy: Optional[str],
-    memctrl_kernel: Optional[str],
-    transfer_pump: Optional[str],
-) -> Optional[Variants]:
-    """Warn-and-forward the pre-``Variants`` keyword trio (deprecation shim)."""
-    used = {
-        name: value
-        for name, value in (
-            ("memctrl_policy", memctrl_policy),
-            ("memctrl_kernel", memctrl_kernel),
-            ("transfer_pump", transfer_pump),
-        )
-        if value is not None
-    }
-    if not used:
-        return None
-    warnings.warn(
-        f"the {', '.join(sorted(used))} keyword(s) are deprecated; pass "
-        "variants=Variants(policy=..., kernel=..., pump=..., fabric=...) "
-        "instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return Variants(
-        policy=memctrl_policy, kernel=memctrl_kernel, pump=transfer_pump
-    )
-
 #: Bytes simulated per transfer before extrapolation.  This is the single
 #: source of truth; :mod:`repro.exp.spec` re-exports it so the declarative
 #: spec layer and the facade can never drift apart.
@@ -114,18 +85,10 @@ class Session:
         cache=None,
         jobs: int = 1,
         variants: Optional[Variants] = None,
-        memctrl_policy: Optional[str] = None,
-        memctrl_kernel: Optional[str] = None,
-        transfer_pump: Optional[str] = None,
         task_timeout_s: Optional[float] = None,
         retries: Optional[int] = None,
         journal=None,
     ) -> None:
-        legacy = _legacy_variants(memctrl_policy, memctrl_kernel, transfer_pump)
-        if variants is not None:
-            variants = variants.merged_over(legacy)
-        else:
-            variants = legacy
         if variants is not None:
             # apply() validates every spec first, preserving the historical
             # fail-fast-at-open behaviour (and its exact error types).
@@ -158,9 +121,6 @@ class Session:
         cache=None,
         jobs: int = 1,
         variants: Optional[Variants] = None,
-        memctrl_policy: Optional[str] = None,
-        memctrl_kernel: Optional[str] = None,
-        transfer_pump: Optional[str] = None,
         task_timeout_s: Optional[float] = None,
         retries: Optional[int] = None,
         journal=None,
@@ -170,14 +130,9 @@ class Session:
         ``backend`` overrides the design point's default transfer backend for
         :meth:`transfer`; ``variants`` is a typed
         :class:`~repro.registry.Variants` bundle selecting one spec per
-        pluggable axis -- scheduler policy, service kernel (``object``/
-        ``soa``), transfer pump (``object``/``burst``) and interconnect
-        fabric (``none``/``mesh:WxH``); ``repro variants`` lists every
-        registered spec.  Kernel, pump and ``fabric="none"`` choices are
-        bit-identical at the event level; policies and real fabrics change
-        scheduling.  The ``memctrl_policy``/``memctrl_kernel``/
-        ``transfer_pump`` keywords are deprecated shims that warn and forward
-        into ``variants``.  ``cache``/``jobs`` configure the
+        pluggable axis -- scheduler policy and interconnect fabric
+        (``none``/``mesh:WxH``); ``repro variants`` lists every registered
+        spec.  ``cache``/``jobs`` configure the
         experiment provider behind :meth:`run_workload`.
         ``task_timeout_s``/``retries``/``journal`` configure the provider's
         fault-tolerant fleet execution (see :mod:`repro.fleet`): hung worker
@@ -191,9 +146,6 @@ class Session:
             cache=cache,
             jobs=jobs,
             variants=variants,
-            memctrl_policy=memctrl_policy,
-            memctrl_kernel=memctrl_kernel,
-            transfer_pump=transfer_pump,
             task_timeout_s=task_timeout_s,
             retries=retries,
             journal=journal,
@@ -744,14 +696,6 @@ class SessionBuilder:
     def policy(self, spec: str) -> "SessionBuilder":
         """Select a registered memory-scheduler policy (``repro variants``)."""
         return self.variants(Variants(policy=spec))
-
-    def kernel(self, spec: str) -> "SessionBuilder":
-        """Select the DRAM service kernel (``object`` or ``soa``)."""
-        return self.variants(Variants(kernel=spec))
-
-    def pump(self, spec: str) -> "SessionBuilder":
-        """Select the transfer pump (``object`` or ``burst``)."""
-        return self.variants(Variants(pump=spec))
 
     def fabric(self, spec: str) -> "SessionBuilder":
         """Select the interconnect fabric (``none`` or ``mesh:WxH``)."""

@@ -232,7 +232,10 @@ class DataCopyEngine:
         self._on_complete = on_complete
         self.offsets = {core: 0 for core in descriptor.pim_core_ids}
         self._max_in_flight = self.max_in_flight
-        self._prepare_schedule(descriptor)
+        if self.policy is DcePolicy.PIM_MS:
+            self._iterator = self.scheduler.schedule(descriptor)
+        else:
+            self._iterator = self.scheduler.schedule_serial(descriptor)
 
         start_ns = system.now
         self._baselines = {
@@ -251,13 +254,6 @@ class DataCopyEngine:
         setup_ns = self._descriptor_setup_ns(descriptor)
         system.cpu.record_busy_interval(start_ns, start_ns + setup_ns)
         system.engine.schedule_after(setup_ns, self._pump)
-
-    def _prepare_schedule(self, descriptor: TransferDescriptor) -> None:
-        """Set up the per-transfer issue schedule (overridden by the burst pump)."""
-        if self.policy is DcePolicy.PIM_MS:
-            self._iterator = self.scheduler.schedule(descriptor)
-        else:
-            self._iterator = self.scheduler.schedule_serial(descriptor)
 
     def execute(self, descriptor: TransferDescriptor) -> TransferResult:
         """Run one offloaded transfer to completion and return its result."""
@@ -364,17 +360,8 @@ class DataCopyEngine:
         ):
             return
         # 3. Pull new accesses from the PIM-MS schedule.
-        self._pull_new(retry_channels, full_targets)
-
-    def _pull_new(self, retry_channels: set, full_targets: set) -> None:
-        """Pull fresh accesses from the schedule while the window has room.
-
-        The burst pump overrides this with a vectorized window submit; this
-        base implementation is the scalar one-request-per-chunk loop.
-        """
         max_in_flight = self._max_in_flight
         system = self.system
-        deferred = self._deferred_reads
         iterator = self._iterator
         while self._in_flight < max_in_flight and deferred.count < max_in_flight:
             assert iterator is not None
@@ -433,12 +420,6 @@ class DataCopyEngine:
         request.dram_addr = dram_addr
         return request
 
-    def _read_completed(self, access: ScheduledAccess, request: MemoryRequest) -> None:
-        self._on_read_complete(access)
-
-    def _write_completed(self, access: ScheduledAccess, request: MemoryRequest) -> None:
-        self._on_write_complete(access)
-
     @staticmethod
     def _target_key(request: MemoryRequest) -> tuple:
         assert request.dram_addr is not None
@@ -468,7 +449,7 @@ class DataCopyEngine:
 
         self.system.retry_when_possible(request, retry)
 
-    def _on_read_complete(self, access: ScheduledAccess) -> None:
+    def _read_completed(self, access: ScheduledAccess, request: MemoryRequest) -> None:
         # Step 5: the preprocessing unit transposes the line on the fly.
         engine = self.system.engine
         engine.schedule_callback(
@@ -504,12 +485,10 @@ class DataCopyEngine:
         self._writes_outstanding += 1
         return True
 
-    def _on_write_complete(self, access: ScheduledAccess) -> None:
-        self._complete_chunk(access.pim_core_id)
-
-    def _complete_chunk(self, pim_core_id: int) -> None:
+    def _write_completed(self, access: ScheduledAccess, request: MemoryRequest) -> None:
         self._writes_outstanding -= 1
         self._completed_chunks += 1
+        pim_core_id = access.pim_core_id
         self.offsets[pim_core_id] = self.offsets.get(pim_core_id, 0) + CACHE_LINE_BYTES
         if self._completed_chunks >= self._total_chunks:
             self._done = True
@@ -527,19 +506,4 @@ class DataCopyEngine:
         # in that pump provably failed, so it is elided.
 
 
-def create_dce(system: "PimSystem", policy: DcePolicy = DcePolicy.PIM_MS) -> DataCopyEngine:
-    """Build the DCE variant selected by ``config.memctrl.transfer_pump``.
-
-    ``object`` is the per-chunk engine above; ``burst`` is
-    :class:`repro.core.dce_burst.BurstDataCopyEngine` (imported lazily), which
-    issues whole in-flight windows through ``submit_burst``.  Both are
-    bit-identical at the event level.
-    """
-    if system.config.memctrl.transfer_pump == "burst":
-        from repro.core.dce_burst import BurstDataCopyEngine
-
-        return BurstDataCopyEngine(system, policy=policy)
-    return DataCopyEngine(system, policy=policy)
-
-
-__all__ = ["DataCopyEngine", "create_dce"]
+__all__ = ["DataCopyEngine"]

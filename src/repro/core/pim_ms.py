@@ -22,14 +22,11 @@ sweep begins.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence
 
 from repro.mapping.partition import pim_core_coordinates
 from repro.sim.config import MemoryDomainConfig
 from repro.transfer.descriptor import TransferDescriptor
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
 
 
 class ScheduledAccess(NamedTuple):
@@ -135,59 +132,6 @@ class PimAwareScheduler:
                     chunk_index=chunk_index,
                     descriptor_index=desc_index,
                 )
-
-    def schedule_columns(
-        self, descriptor: TransferDescriptor
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The full :meth:`schedule` order as ``(core_ids, chunks, desc_indices)`` columns.
-
-        Produces exactly the sequence the generator yields, materialized as
-        three parallel int64 arrays for the burst transfer pump's vectorized
-        AGU.  The per-step construction mirrors the generator: for each
-        software-pipelined step, the active (group, chunk) pairs are visited
-        position-major / group-fast, skipping positions past a group's length
-        (the ``-1`` padding below).
-        """
-        import numpy as np
-
-        groups = self._grouped_by_channel(descriptor)
-        chunks = descriptor.chunks_per_core
-        num_groups = len(groups)
-        empty = np.empty(0, dtype=np.int64)
-        if num_groups == 0 or chunks == 0:
-            return empty, empty.copy(), empty.copy()
-        width = max(len(group) for group in groups)
-        padded = np.full((num_groups, width), -1, dtype=np.int64)
-        for group_index, group in enumerate(groups):
-            padded[group_index, : len(group)] = group
-        group_ids = np.arange(num_groups, dtype=np.int64)
-        desc_parts: List[np.ndarray] = []
-        chunk_parts: List[np.ndarray] = []
-        for step in range(chunks + num_groups - 1):
-            offsets = step - group_ids
-            active = group_ids[(offsets >= 0) & (offsets < chunks)]
-            sub = padded[active].T  # position-major, group-fast
-            chunk_sub = np.broadcast_to(step - active, sub.shape)
-            valid = sub >= 0
-            desc_parts.append(sub[valid])
-            chunk_parts.append(chunk_sub[valid])
-        desc_indices = np.concatenate(desc_parts)
-        chunk_indices = np.concatenate(chunk_parts)
-        core_ids = np.asarray(descriptor.pim_core_ids, dtype=np.int64)[desc_indices]
-        return core_ids, chunk_indices, desc_indices
-
-    def schedule_serial_columns(
-        self, descriptor: TransferDescriptor
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The :meth:`schedule_serial` order as ``(core_ids, chunks, desc_indices)`` columns."""
-        import numpy as np
-
-        chunks = descriptor.chunks_per_core
-        count = len(descriptor.pim_core_ids)
-        desc_indices = np.repeat(np.arange(count, dtype=np.int64), chunks)
-        chunk_indices = np.tile(np.arange(chunks, dtype=np.int64), count)
-        core_ids = np.asarray(descriptor.pim_core_ids, dtype=np.int64)[desc_indices]
-        return core_ids, chunk_indices, desc_indices
 
     def preview(self, descriptor: TransferDescriptor, count: int = 16) -> List[ScheduledAccess]:
         """First ``count`` scheduled accesses (useful for tests and documentation)."""

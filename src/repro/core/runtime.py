@@ -25,7 +25,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.core.dce import create_dce
+from repro.core.dce import DataCopyEngine
 from repro.core.driver import PimMmuDevice
 from repro.host.allocator import HostAllocator
 from repro.pim.transpose import transpose_for_pim, transpose_from_pim
@@ -85,7 +85,7 @@ class PimMmuRuntime:
         )
         if self.allocator is None:
             self.allocator = HostAllocator(self.system.partition)
-        dce = create_dce(self.system, policy=self.policy)
+        dce = DataCopyEngine(self.system, policy=self.policy)
         self.device = PimMmuDevice(dce=dce)
 
     # --------------------------------------------------------------- op build

@@ -80,7 +80,7 @@ class DdrChannel:
         self.bus_free_time: float = 0.0
         self.busy_data_ns: float = 0.0
         #: Subscribed dirty sets (see :meth:`watch_rows`).  Mutated in place
-        #: only: the service kernels hold a reference across a burst.
+        #: only: the service kernel holds a reference across a burst.
         self._row_watchers: List[Set[int]] = []
 
     # ------------------------------------------------------------ row watchers

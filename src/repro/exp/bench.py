@@ -79,24 +79,11 @@ class BenchResult:
         }
 
 
-def _with_kernel(
-    config: SystemConfig, kernel: str, pump: str = "object", fabric: str = "none"
-) -> SystemConfig:
-    """``config`` with the service kernel, transfer pump and fabric selected."""
-    if (
-        kernel == config.memctrl.kernel
-        and pump == config.memctrl.transfer_pump
-        and fabric == config.memctrl.fabric
-    ):
-        return config
-    from dataclasses import replace
+def _paper_config(fabric: str) -> SystemConfig:
+    """The Table I configuration with the interconnect fabric selected."""
+    from repro.registry import Variants
 
-    return replace(
-        config,
-        memctrl=replace(
-            config.memctrl, kernel=kernel, transfer_pump=pump, fabric=fabric
-        ),
-    )
+    return Variants(fabric=fabric).apply(SystemConfig.paper_baseline())
 
 
 def machine_fingerprint() -> Dict[str, object]:
@@ -134,13 +121,11 @@ def _served_requests(stats) -> int:
     )
 
 
-def _bench_transfer_sweep(
-    quick: bool, kernel: str = "object", pump: str = "object", fabric: str = "none"
-) -> BenchResult:
+def _bench_transfer_sweep(quick: bool, fabric: str = "none") -> BenchResult:
     from repro.system import build_system
     from repro.workloads.microbench import run_transfer_experiment_on
 
-    config = _with_kernel(SystemConfig.paper_baseline(), kernel, pump, fabric)
+    config = _paper_config(fabric)
     if quick:
         cases = [(DesignPoint.BASE_DHP, TransferDirection.DRAM_TO_PIM)]
         total_bytes, cap = 256 * KIB, 256 * KIB
@@ -166,13 +151,11 @@ def _bench_transfer_sweep(
     return BenchResult("headline-sweep", wall, events, requests)
 
 
-def _bench_scenario_mix(
-    quick: bool, kernel: str = "object", pump: str = "object", fabric: str = "none"
-) -> BenchResult:
+def _bench_scenario_mix(quick: bool, fabric: str = "none") -> BenchResult:
     from repro.scenarios.tenant import TenantSpec, run_scenario
     from repro.system import build_system
 
-    config = _with_kernel(SystemConfig.paper_baseline(), kernel, pump, fabric)
+    config = _paper_config(fabric)
     size = 128 * KIB if quick else 256 * KIB
     tenants = (
         TenantSpec.memcpy("memcpy", total_bytes=size),
@@ -202,13 +185,11 @@ def _bench_scenario_mix(
     return BenchResult("scenario-mix", wall, events, requests)
 
 
-def _bench_replay_bursty(
-    quick: bool, kernel: str = "object", pump: str = "object", fabric: str = "none"
-) -> BenchResult:
+def _bench_replay_bursty(quick: bool, fabric: str = "none") -> BenchResult:
     from repro.scenarios.trace import TraceReplayer, synthesize_trace
     from repro.system import build_system
 
-    config = _with_kernel(SystemConfig.paper_baseline(), kernel, pump, fabric)
+    config = _paper_config(fabric)
     size = 128 * KIB if quick else 512 * KIB
     trace = synthesize_trace("bursty", total_bytes=size, mean_gap_ns=4.0)
     system = build_system(config=config, design_point=DesignPoint.BASE_DHP)
@@ -222,9 +203,7 @@ def _bench_replay_bursty(
     )
 
 
-def _bench_deep_queue(
-    quick: bool, kernel: str = "object", pump: str = "object", fabric: str = "none"
-) -> BenchResult:
+def _bench_deep_queue(quick: bool, fabric: str = "none") -> BenchResult:
     # ``fabric`` is accepted for matrix uniformity but has nothing to
     # interpose on here: this workload drives a bare ChannelController, and
     # the fabric sits above the controllers (in PimSystem).
@@ -237,10 +216,7 @@ def _bench_deep_queue(
 
     geometry = SystemConfig.paper_baseline().dram
     depth = 1024 if quick else 4096
-    memctrl = MemCtrlConfig(
-        read_queue_depth=depth, write_queue_depth=depth, kernel=kernel,
-        transfer_pump=pump,
-    )
+    memctrl = MemCtrlConfig(read_queue_depth=depth, write_queue_depth=depth)
     engine = SimulationEngine()
     stats = StatsRegistry()
     controller = ChannelController(
@@ -269,7 +245,7 @@ def _bench_deep_queue(
     )
 
 
-#: The fixed matrix: name -> callable(quick, kernel, pump, fabric) -> BenchResult.
+#: The fixed matrix: name -> callable(quick, fabric) -> BenchResult.
 BENCH_WORKLOADS: Dict[str, Callable[..., BenchResult]] = {
     "headline-sweep": _bench_transfer_sweep,
     "scenario-mix": _bench_scenario_mix,
@@ -295,8 +271,6 @@ def run_bench(
     quick: bool = False,
     names: Optional[List[str]] = None,
     repeats: Optional[int] = None,
-    kernel: str = "object",
-    transfer_pump: str = "object",
     fabric: str = "none",
 ) -> Dict:
     """Run the benchmark matrix and return one trajectory entry (a dict).
@@ -309,24 +283,15 @@ def run_bench(
     wall times -- travels with the entry, so a CI artifact shows *how noisy*
     the runner was when a regression gate is being diagnosed.
 
-    ``kernel`` selects the DRAM service-kernel implementation for every
-    workload (``object`` or ``soa``; see :mod:`repro.memctrl.kernel`);
-    ``transfer_pump`` selects the transfer pump (``object`` or ``burst``;
-    see :mod:`repro.memctrl.pump`).  Both axes are bit-identical at the
-    event level, so event counts match across all four combinations and
-    only the wall clock moves.  ``fabric`` selects the interconnect fabric
-    (:mod:`repro.fabric`); only ``none`` keeps the matrix comparable to the
-    committed trajectory -- a mesh changes the event stream.
+    ``fabric`` selects the interconnect fabric (:mod:`repro.fabric`); only
+    ``none`` keeps the matrix comparable to the committed trajectory -- a
+    mesh changes the event stream.
 
     The entry carries the :func:`machine_fingerprint` of the measuring host.
     """
     from repro.fabric import validate_fabric
-    from repro.memctrl.kernel import kernel_class
-    from repro.memctrl.pump import validate_pump
 
-    kernel_class(kernel)  # fail fast on unknown specs
-    validate_pump(transfer_pump)
-    validate_fabric(fabric)
+    validate_fabric(fabric)  # fail fast on unknown specs
     selected = names if names else list(BENCH_WORKLOADS)
     unknown = [name for name in selected if name not in BENCH_WORKLOADS]
     if unknown:
@@ -336,10 +301,10 @@ def run_bench(
         repeats = 2 if quick else 3
     results = {}
     for name in selected:
-        outcome = BENCH_WORKLOADS[name](quick, kernel, transfer_pump, fabric)
+        outcome = BENCH_WORKLOADS[name](quick, fabric)
         walls = [outcome.wall_s]
         for _ in range(repeats - 1):
-            candidate = BENCH_WORKLOADS[name](quick, kernel, transfer_pump, fabric)
+            candidate = BENCH_WORKLOADS[name](quick, fabric)
             walls.append(candidate.wall_s)
             if candidate.wall_s < outcome.wall_s:
                 outcome = candidate
@@ -353,8 +318,6 @@ def run_bench(
     return {
         "quick": quick,
         "repeats": repeats,
-        "kernel": kernel,
-        "transfer_pump": transfer_pump,
         "fabric": fabric,
         "machine": machine_fingerprint(),
         "workloads": results,
@@ -362,33 +325,9 @@ def run_bench(
     }
 
 
-def with_baseline_ratio(entry: Dict, baseline: Dict) -> Dict:
-    """Stamp ``entry`` with its speedup over a same-invocation baseline.
-
-    ``baseline`` is another :func:`run_bench` entry measured in the *same*
-    process (same machine state, interleaved or back-to-back) -- the only
-    protocol under which a committed ratio is meaningful.  The returned copy
-    carries a ``"baseline"`` block: the baseline's kernel/pump coordinates,
-    its aggregate events/sec, and ``ratio`` = entry / baseline.
-    """
-    base_rate = baseline["aggregate"]["events_per_sec"]
-    new_rate = entry["aggregate"]["events_per_sec"]
-    stamped = dict(entry)
-    stamped["baseline"] = {
-        "kernel": baseline.get("kernel", "object"),
-        "transfer_pump": baseline.get("transfer_pump", "object"),
-        "fabric": baseline.get("fabric", "none"),
-        "events_per_sec": base_rate,
-        "ratio": round(new_rate / base_rate, 3) if base_rate > 0 else None,
-    }
-    return stamped
-
-
 def profile_bench(
     quick: bool = False,
     names: Optional[List[str]] = None,
-    kernel: str = "object",
-    transfer_pump: str = "object",
     fabric: str = "none",
     top_n: int = 25,
 ) -> str:
@@ -406,11 +345,7 @@ def profile_bench(
     import pstats
 
     from repro.fabric import validate_fabric
-    from repro.memctrl.kernel import kernel_class
-    from repro.memctrl.pump import validate_pump
 
-    kernel_class(kernel)
-    validate_pump(transfer_pump)
     validate_fabric(fabric)
     selected = names if names else list(BENCH_WORKLOADS)
     unknown = [name for name in selected if name not in BENCH_WORKLOADS]
@@ -418,13 +353,12 @@ def profile_bench(
         known = ", ".join(BENCH_WORKLOADS)
         raise KeyError(f"unknown bench workload(s) {unknown}; known: {known}")
     sections = [
-        f"bench profile: quick={quick} kernel={kernel} "
-        f"transfer_pump={transfer_pump} fabric={fabric} top={top_n}"
+        f"bench profile: quick={quick} fabric={fabric} top={top_n}"
     ]
     for name in selected:
         profiler = cProfile.Profile()
         profiler.enable()
-        BENCH_WORKLOADS[name](quick, kernel, transfer_pump, fabric)
+        BENCH_WORKLOADS[name](quick, fabric)
         profiler.disable()
         buffer = io.StringIO()
         stats = pstats.Stats(profiler, stream=buffer)
@@ -576,5 +510,4 @@ __all__ = [
     "profile_bench",
     "regressing_workloads",
     "run_bench",
-    "with_baseline_ratio",
 ]

@@ -25,19 +25,14 @@ non-zero naming the failed spec.
     the default for.
 ``repro variants``
     List every registered variant axis -- memory-scheduler policies
-    (``--policy`` / ``Variants(policy=...)``), DRAM service kernels
-    (``--kernel``), transfer pumps (``--transfer-pump``), transfer backends
-    and interconnect fabrics (``--fabric`` / :mod:`repro.fabric`).  Every
-    listed spec round-trips through :class:`repro.registry.Variants`.
-``repro policies``
-    Deprecated alias: the policy/kernel/pump subset of ``repro variants``,
-    kept with byte-identical output for scripts that parse it.
+    (``--policy`` / ``Variants(policy=...)``), transfer backends and
+    interconnect fabrics (``--fabric`` / :mod:`repro.fabric`).  Every listed
+    policy and fabric spec round-trips through :class:`repro.registry.Variants`.
 ``repro bench``
     Run the fixed hot-path benchmark matrix (events/sec + wall-clock) and
     append the result to the committed ``BENCH_hotpath.json`` trajectory;
-    ``--quick --check`` is the CI perf-smoke gate, ``--compare-kernels``
-    asserts the SoA kernel beats the object kernel on the same matrix, and
-    ``--compare-fabric`` asserts the ``fabric=none`` pass-through stays
+    ``--quick --check`` is the CI perf-smoke gate and ``--compare-fabric``
+    asserts the ``fabric=none`` pass-through stays
     within 2% of the default configuration.
 ``repro clean-cache``
     Delete the on-disk experiment cache (``results/.cache``) and the fleet
@@ -294,20 +289,12 @@ def _build_session(args: argparse.Namespace) -> "Session":
 
     config = _resolve_config(args.config)
     builder = Session.builder().config(config).jobs(args.jobs)
-    kernel = getattr(args, "kernel", None)
-    if kernel is not None:
-        # Session-level selection: the whole sweep's config runs under this
-        # service kernel (figures have no per-spec kernel field; for sweep/
-        # scenarios the per-spec override applies the same value again,
-        # which is a no-op).
-        builder.kernel(kernel)
-    pump = getattr(args, "transfer_pump", None)
-    if pump is not None:
-        # Same session-level selection for the transfer pump.
-        builder.pump(pump)
     fabric = getattr(args, "fabric", None)
     if fabric is not None:
-        # Same session-level selection for the interconnect fabric.
+        # Session-level selection: the whole sweep's config runs under this
+        # interconnect fabric (figures have no per-spec fabric field; for
+        # sweep/scenarios the per-spec override applies the same value
+        # again, which is a no-op).
         builder.fabric(fabric)
     if not args.no_cache:
         cache_dir = args.cache_dir or (args.results_dir / CACHE_DIR_NAME)
@@ -426,20 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list", action="store_true", help="list available figures and exit"
     )
     figures.add_argument(
-        "--kernel",
-        default=None,
-        help="DRAM service kernel the figures run under: object or soa "
-        "(bit-identical by construction; the committed tables regenerate "
-        "byte-for-byte under either)",
-    )
-    figures.add_argument(
-        "--transfer-pump",
-        default=None,
-        help="transfer pump the figures run under: object or burst "
-        "(bit-identical by construction; the committed tables regenerate "
-        "byte-for-byte under either)",
-    )
-    figures.add_argument(
         "--fabric",
         default=None,
         help="interconnect fabric the figures run under (see `repro variants`); "
@@ -494,18 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--policy",
         default=None,
-        help="memory-scheduler policy spec, e.g. frfcfs_cap:4 (see `repro policies`)",
-    )
-    sweep.add_argument(
-        "--kernel",
-        default=None,
-        help="DRAM service kernel: object or soa (bit-identical; soa is faster)",
-    )
-    sweep.add_argument(
-        "--transfer-pump",
-        default=None,
-        help="transfer pump: object or burst (bit-identical; burst "
-        "vectorizes issue)",
+        help="memory-scheduler policy spec, e.g. frfcfs_cap:4 (see `repro variants`)",
     )
     sweep.add_argument(
         "--fabric",
@@ -573,18 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(e.g. qos_priority:t0-transfer=1); registered scenarios carry their own",
     )
     scenarios.add_argument(
-        "--kernel",
-        default=None,
-        help="DRAM service kernel for the ad-hoc --tenants/--trace mix: "
-        "object or soa (bit-identical; soa is faster)",
-    )
-    scenarios.add_argument(
-        "--transfer-pump",
-        default=None,
-        help="transfer pump for the ad-hoc --tenants/--trace mix: "
-        "object or burst (bit-identical; burst vectorizes issue)",
-    )
-    scenarios.add_argument(
         "--fabric",
         default=None,
         help="interconnect fabric for the ad-hoc --tenants/--trace mix: "
@@ -599,14 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "variants",
-        help="list every registered variant axis: scheduler policies, DRAM "
-        "service kernels, transfer pumps, transfer backends and fabrics",
-    )
-
-    sub.add_parser(
-        "policies",
-        help="list the policy/kernel/pump axes (deprecated alias; "
-        "`repro variants` lists all five axes)",
+        help="list every registered variant axis: scheduler policies, "
+        "transfer backends and fabrics",
     )
 
     bench = sub.add_parser(
@@ -657,37 +601,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="do not append the entry to the trajectory file",
     )
     bench.add_argument(
-        "--kernel",
-        default="object",
-        help="DRAM service kernel the matrix runs under: object or soa "
-        "(bit-identical events; only the wall clock moves)",
-    )
-    bench.add_argument(
-        "--compare-kernels",
-        action="store_true",
-        help="run the matrix under BOTH kernels, print both, and fail "
-        "(exit 1) unless the soa kernel's aggregate events/sec beats the "
-        "object kernel's (implies --no-write)",
-    )
-    bench.add_argument(
-        "--transfer-pump",
-        default="object",
-        help="transfer pump the matrix runs under: object or burst "
-        "(bit-identical events; only the wall clock moves)",
-    )
-    bench.add_argument(
-        "--compare-pumps",
-        action="store_true",
-        help="run the matrix under BOTH transfer pumps, print both, and "
-        "fail (exit 1) unless the burst pump's aggregate events/sec beats "
-        "the object pump's (implies --no-write)",
-    )
-    bench.add_argument(
         "--fabric",
         default="none",
         help="interconnect fabric the matrix runs under (default: none; a "
         "mesh changes the event stream, so it cannot be combined with "
-        "--check or the compare gates)",
+        "--check or --compare-fabric)",
     )
     bench.add_argument(
         "--compare-fabric",
@@ -696,20 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(fabric=none) against the default configuration in paired rounds "
         "and fail (exit 1) if the fabric=none session falls below 98%% of "
         "the default's aggregate events/sec (implies --no-write)",
-    )
-    bench.add_argument(
-        "--baseline-kernel",
-        default=None,
-        help="also measure a baseline configuration with this kernel in the "
-        "same invocation (paired rounds) and record the speedup ratio in "
-        "the trajectory entry (default: the --kernel value)",
-    )
-    bench.add_argument(
-        "--baseline-pump",
-        default=None,
-        help="also measure a baseline configuration with this transfer pump "
-        "in the same invocation (paired rounds) and record the speedup "
-        "ratio in the trajectory entry (default: the --transfer-pump value)",
     )
     bench.add_argument(
         "--profile",
@@ -832,14 +736,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         from repro.memctrl.policies import create_policy
 
         create_policy(args.policy)  # fail fast on unknown specs
-    if args.kernel is not None:
-        from repro.memctrl.kernel import kernel_class
-
-        kernel_class(args.kernel)  # fail fast on unknown specs
-    if args.transfer_pump is not None:
-        from repro.memctrl.pump import validate_pump
-
-        validate_pump(args.transfer_pump)  # fail fast on unknown specs
     if args.fabric is not None:
         from repro.fabric import validate_fabric
 
@@ -852,8 +748,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sim_cap_bytes=args.sim_cap,
         scheduling_quantum_ns=args.quantum_ns,
         memctrl_policy=args.policy,
-        memctrl_kernel=args.kernel,
-        transfer_pump=args.transfer_pump,
         fabric=args.fabric,
     )
     provider = _build_provider(args)
@@ -967,14 +861,6 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
             from repro.memctrl.policies import create_policy
 
             create_policy(args.policy)  # fail fast on unknown specs
-        if args.kernel is not None:
-            from repro.memctrl.kernel import kernel_class
-
-            kernel_class(args.kernel)  # fail fast on unknown specs
-        if args.transfer_pump is not None:
-            from repro.memctrl.pump import validate_pump
-
-            validate_pump(args.transfer_pump)  # fail fast on unknown specs
         if args.fabric is not None:
             from repro.fabric import validate_fabric
 
@@ -985,8 +871,6 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
             tenants=tenants,
             include_isolated=not args.no_isolated,
             memctrl_policy=args.policy,
-            memctrl_kernel=args.kernel,
-            transfer_pump=args.transfer_pump,
             fabric=args.fabric,
         )
         try:
@@ -1089,8 +973,7 @@ def cmd_backends(args: argparse.Namespace) -> int:
     return 0
 
 
-def _policy_axis_tables() -> List[str]:
-    """The policy/kernel/pump axis tables (the historical ``policies`` output)."""
+def _policy_table() -> str:
     from repro.memctrl.policies import (
         available_policies,
         normalize_policy_name,
@@ -1107,62 +990,11 @@ def _policy_axis_tables() -> List[str]:
         }
         for name in available_policies()
     ]
-    tables = [
-        format_table(
-            rows,
-            columns=["policy", "default", "description"],
-            title="Registered memory-scheduler policies",
-        )
-    ]
-
-    from repro.memctrl.kernel import available_kernels
-
-    kernel_default = MemCtrlConfig().kernel
-    kernel_blurbs = {
-        "object": "batched per-object service kernel (PR 4)",
-        "soa": "struct-of-arrays burst kernel: vectorized decode, columnar "
-        "completions (bit-identical to object)",
-    }
-    kernel_rows = [
-        {
-            "kernel": name,
-            "default": "yes" if name == kernel_default else "",
-            "description": kernel_blurbs.get(name, ""),
-        }
-        for name in available_kernels()
-    ]
-    tables.append(
-        format_table(
-            kernel_rows,
-            columns=["kernel", "default", "description"],
-            title="Registered DRAM service kernels (--kernel)",
-        )
+    return format_table(
+        rows,
+        columns=["policy", "default", "description"],
+        title="Registered memory-scheduler policies",
     )
-
-    from repro.memctrl.pump import available_pumps
-
-    pump_default = MemCtrlConfig().transfer_pump
-    pump_blurbs = {
-        "object": "per-chunk request submission (PR 2)",
-        "burst": "burst pump: vectorized AGU, whole in-flight windows as "
-        "request bursts (bit-identical to object)",
-    }
-    pump_rows = [
-        {
-            "pump": name,
-            "default": "yes" if name == pump_default else "",
-            "description": pump_blurbs.get(name, ""),
-        }
-        for name in available_pumps()
-    ]
-    tables.append(
-        format_table(
-            pump_rows,
-            columns=["pump", "default", "description"],
-            title="Registered transfer pumps (--transfer-pump)",
-        )
-    )
-    return tables
 
 
 def _fabric_table() -> str:
@@ -1185,16 +1017,9 @@ def _fabric_table() -> str:
     )
 
 
-def cmd_policies(args: argparse.Namespace) -> int:
-    # Deprecated alias of `repro variants`, kept with byte-identical output
-    # (scripts parse it); the parser help is the only place that says so.
-    print("\n\n".join(_policy_axis_tables()))
-    return 0
-
-
 def cmd_variants(args: argparse.Namespace) -> int:
-    """All five variant axes: policies, kernels, pumps, backends, fabrics."""
-    tables = _policy_axis_tables() + [_backend_table(), _fabric_table()]
+    """Every variant axis: policies, backends, fabrics."""
+    tables = [_policy_table(), _backend_table(), _fabric_table()]
     print("\n\n".join(tables))
     return 0
 
@@ -1202,7 +1027,7 @@ def cmd_variants(args: argparse.Namespace) -> int:
 def _paired_bench(args, selected, variants, rounds):
     """Measure every variant with paired single-repeat rounds.
 
-    ``variants`` maps a display label to a ``(kernel, pump, fabric)`` triple.  The
+    ``variants`` maps a display label to a fabric spec.  The
     aggregate margins between variants are a few percent, well inside the
     wall-clock swing a busy runner shows between two multi-second
     measurement phases, so measuring each variant in its own phase would
@@ -1217,10 +1042,9 @@ def _paired_bench(args, selected, variants, rounds):
     def measure_round():
         return {
             label: run_bench(
-                quick=args.quick, names=selected, repeats=1,
-                kernel=kernel, transfer_pump=pump, fabric=fabric,
+                quick=args.quick, names=selected, repeats=1, fabric=fabric
             )
-            for label, (kernel, pump, fabric) in variants.items()
+            for label, fabric in variants.items()
         }
 
     def fold(entries, fresh):
@@ -1230,97 +1054,6 @@ def _paired_bench(args, selected, variants, rounds):
     for _ in range(rounds - 1):
         entries = fold(entries, measure_round())
     return entries, measure_round, fold
-
-
-def _bench_compare(args, selected, mode, started, axis) -> int:
-    """``--compare-kernels`` / ``--compare-pumps``: the faster-variant gate.
-
-    Runs the selected matrix under both values of one axis (service kernel
-    or transfer pump), checks the event counts match exactly (both axes are
-    bit-identical by construction, so a mismatch is a correctness bug, not
-    noise) and fails unless the optimized variant's aggregate events/sec
-    beats the baseline variant's.  Measurement is paired; see
-    :func:`_paired_bench`.
-    """
-    if axis == "kernel":
-        base_label, fast_label = "object", "soa"
-        variants = {
-            base_label: ("object", args.transfer_pump, "none"),
-            fast_label: ("soa", args.transfer_pump, "none"),
-        }
-    else:
-        base_label, fast_label = "object", "burst"
-        variants = {
-            base_label: (args.kernel, "object", "none"),
-            fast_label: (args.kernel, "burst", "none"),
-        }
-    rounds = args.repeats if args.repeats is not None else (2 if args.quick else 3)
-    rounds = max(rounds, 3)
-    entries, measure_round, fold = _paired_bench(args, selected, variants, rounds)
-    for label in variants:
-        rows = [
-            {"workload": name, **metrics}
-            for name, metrics in entries[label]["workloads"].items()
-        ]
-        print(
-            format_table(
-                rows,
-                columns=[
-                    "workload",
-                    "wall_s",
-                    "events",
-                    "events_per_sec",
-                ],
-                title=f"Hot-path bench ({mode} matrix, {axis}={label}, "
-                f"best of {rounds} paired rounds)",
-            )
-        )
-    base = entries[base_label]
-    fast = entries[fast_label]
-    mismatched = [
-        name
-        for name, metrics in base["workloads"].items()
-        if metrics["events"] != fast["workloads"][name]["events"]
-    ]
-    if mismatched:
-        print(
-            f"{axis.upper()} MISMATCH: event counts differ between {axis}s for "
-            + ", ".join(mismatched)
-            + f" -- the {axis}s must be bit-identical",
-            file=sys.stderr,
-        )
-        return 1
-
-    def report(attempt: str) -> float:
-        base_rate = base["aggregate"]["events_per_sec"]
-        fast_rate = fast["aggregate"]["events_per_sec"]
-        speedup = fast_rate / base_rate if base_rate > 0 else 0.0
-        print(
-            f"{axis} aggregate events/sec{attempt}: {base_label} "
-            f"{base_rate:.0f}, {fast_label} {fast_rate:.0f} "
-            f"(speedup {speedup:.3f}x); "
-            f"measured in {time.perf_counter() - started:.1f}s"
-        )
-        return speedup
-
-    if report("") <= 1.0:
-        # Same flake-relief spirit as the --check regression gate: add two
-        # more paired rounds and decide on the merged fastest-per-workload
-        # numbers before failing.
-        print(f"{axis} gate: adding two paired rounds (noise relief)")
-        for _ in range(2):
-            entries = fold(entries, measure_round())
-        base = entries[base_label]
-        fast = entries[fast_label]
-        if report(" (after relief rounds)") <= 1.0:
-            print(
-                f"{axis.upper()} GATE: the {fast_label} {axis} did not beat "
-                f"the {base_label} {axis}",
-                file=sys.stderr,
-            )
-            return 1
-    print(f"{axis} gate: {fast_label} beats {base_label}")
-    return 0
 
 
 def _bench_compare_fabric(args, selected, mode, started) -> int:
@@ -1336,10 +1069,7 @@ def _bench_compare_fabric(args, selected, mode, started) -> int:
     by-construction argument on faith.
     """
     base_label, none_label = "default", "fabric-none"
-    variants = {
-        base_label: (args.kernel, args.transfer_pump, "none"),
-        none_label: (args.kernel, args.transfer_pump, "none"),
-    }
+    variants = {base_label: "none", none_label: "none"}
     rounds = args.repeats if args.repeats is not None else (2 if args.quick else 3)
     rounds = max(rounds, 3)
     entries, measure_round, fold = _paired_bench(args, selected, variants, rounds)
@@ -1410,7 +1140,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         profile_bench,
         regressing_workloads,
         run_bench,
-        with_baseline_ratio,
     )
 
     if args.list:
@@ -1427,28 +1156,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    compares = [args.compare_kernels, args.compare_pumps, args.compare_fabric]
-    if any(compares) and args.check:
+    if args.compare_fabric and args.check:
         print(
-            "error: --compare-kernels/--compare-pumps/--compare-fabric are "
-            "their own gates; do not combine them with --check",
+            "error: --compare-fabric is its own gate; do not combine it with "
+            "--check",
             file=sys.stderr,
         )
         return 2
-    if sum(compares) > 1:
-        print(
-            "error: compare one axis at a time (--compare-kernels holds the "
-            "pump fixed at --transfer-pump; --compare-pumps holds the kernel "
-            "fixed at --kernel; --compare-fabric holds both fixed)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.fabric != "none" and (any(compares) or args.check):
+    if args.fabric != "none" and (args.compare_fabric or args.check):
         # A mesh changes the event stream, so neither the committed-trajectory
-        # regression gate nor the bit-identical compare gates apply under it.
+        # regression gate nor the bit-identical compare gate applies under it.
         print(
             "error: --fabric other than `none` cannot be combined with "
-            "--check or the compare gates",
+            "--check or --compare-fabric",
             file=sys.stderr,
         )
         return 2
@@ -1465,68 +1185,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
     path = args.json if args.json is not None else Path(BENCH_FILENAME)
     if args.profile:
         report = profile_bench(
-            quick=args.quick, names=selected, kernel=args.kernel,
-            transfer_pump=args.transfer_pump, fabric=args.fabric,
+            quick=args.quick, names=selected, fabric=args.fabric
         )
         profile_name = "BENCH_profile-quick.txt" if args.quick else "BENCH_profile.txt"
         profile_path = path.parent / profile_name
         profile_path.write_text(report)
         print(f"wrote {profile_path}")
-    if args.compare_kernels:
-        return _bench_compare(args, selected, mode, started, "kernel")
-    if args.compare_pumps:
-        return _bench_compare(args, selected, mode, started, "pump")
     if args.compare_fabric:
         return _bench_compare_fabric(args, selected, mode, started)
-    baseline_entry = None
-    if args.baseline_kernel is not None or args.baseline_pump is not None:
-        # Same-invocation baseline: the entry and its baseline configuration
-        # are measured in paired rounds so the recorded ratio reflects code,
-        # not machine drift between two separate bench runs.
-        baseline = (
-            args.baseline_kernel or args.kernel,
-            args.baseline_pump or args.transfer_pump,
-            args.fabric,
-        )
-        variants = {
-            "entry": (args.kernel, args.transfer_pump, args.fabric),
-            "baseline": baseline,
-        }
-        rounds = args.repeats if args.repeats is not None else (2 if args.quick else 3)
-        rounds = max(rounds, 3)
-        entries, _, _ = _paired_bench(args, selected, variants, rounds)
-        entry, baseline_entry = entries["entry"], entries["baseline"]
-        mismatched = [
-            name
-            for name, metrics in entry["workloads"].items()
-            if metrics["events"] != baseline_entry["workloads"][name]["events"]
-        ]
-        if mismatched:
-            print(
-                "BASELINE MISMATCH: event counts differ from the baseline "
-                "configuration for " + ", ".join(mismatched)
-                + " -- kernels and pumps must be bit-identical",
-                file=sys.stderr,
-            )
-            return 1
-        # The paired fold reports best-of-rounds; "reran" is an artifact of
-        # reusing merge_rerun for the fold, not a flake-relief record.
-        entry.pop("reran", None)
-        entry["repeats"] = rounds
-        entry = with_baseline_ratio(entry, baseline_entry)
-        ratio = entry["baseline"]["ratio"]
-        print(
-            f"baseline (kernel={baseline[0]}, pump={baseline[1]}): "
-            f"{baseline_entry['aggregate']['events_per_sec']:.0f} events/sec; "
-            f"entry ratio {ratio:.3f}x" if ratio is not None else
-            "baseline rate was zero; no ratio recorded"
-        )
-    else:
-        entry = run_bench(
-            quick=args.quick, names=selected, repeats=args.repeats,
-            kernel=args.kernel, transfer_pump=args.transfer_pump,
-            fabric=args.fabric,
-        )
+    entry = run_bench(
+        quick=args.quick, names=selected, repeats=args.repeats, fabric=args.fabric
+    )
     if args.check:
         if args.names:
             print(
@@ -1548,10 +1217,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     f"{', '.join(suspects)} once to rule out runner noise",
                     file=sys.stderr,
                 )
-                rerun = run_bench(
-                    quick=args.quick, names=suspects, repeats=1,
-                    kernel=args.kernel, transfer_pump=args.transfer_pump,
-                )
+                rerun = run_bench(quick=args.quick, names=suspects, repeats=1)
                 entry = merge_rerun(entry, rerun)
                 failure = check_regression(document, entry)
     rows = [
@@ -1641,7 +1307,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "sweep": cmd_sweep,
         "scenarios": cmd_scenarios,
         "backends": cmd_backends,
-        "policies": cmd_policies,
         "variants": cmd_variants,
         "bench": cmd_bench,
         "clean-cache": cmd_clean_cache,

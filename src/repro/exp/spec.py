@@ -52,9 +52,8 @@ def _expand_variants(spec) -> None:
     """Expand a spec's ``variants`` bundle into its per-axis fields.
 
     Frozen specs accept either style -- individual ``memctrl_policy=``/
-    ``memctrl_kernel=``/``transfer_pump=``/``fabric=`` fields or one
-    ``variants=Variants(...)`` -- and normalise to the per-axis fields, with
-    ``variants`` cleared back to ``None``.  A canonical form means two specs
+    ``fabric=`` fields or one ``variants=Variants(...)`` -- and normalise to
+    the per-axis fields, with ``variants`` cleared back to ``None``.  A canonical form means two specs
     describing the same run have the same repr, hash and cache key.  Bundle
     fields win over individually-passed fields.
     """
@@ -63,10 +62,6 @@ def _expand_variants(spec) -> None:
         return
     if bundle.policy is not None:
         object.__setattr__(spec, "memctrl_policy", bundle.policy)
-    if bundle.kernel is not None:
-        object.__setattr__(spec, "memctrl_kernel", bundle.kernel)
-    if bundle.pump is not None:
-        object.__setattr__(spec, "transfer_pump", bundle.pump)
     if bundle.fabric is not None:
         object.__setattr__(spec, "fabric", bundle.fabric)
     object.__setattr__(spec, "variants", None)
@@ -141,14 +136,8 @@ class TransferSpec(ExperimentSpec):
     contention: Optional[ContentionSpec] = None
     scheduling_quantum_ns: Optional[float] = None
     #: Memory-scheduler policy spec (``None`` keeps the config's default,
-    #: FR-FCFS).  See :mod:`repro.memctrl.policies` / ``repro policies``.
+    #: FR-FCFS).  See :mod:`repro.memctrl.policies` / ``repro variants``.
     memctrl_policy: Optional[str] = None
-    #: DRAM service-kernel implementation (``None`` keeps the config's
-    #: default; ``object``/``soa`` are bit-identical, ``soa`` is faster).
-    memctrl_kernel: Optional[str] = None
-    #: Transfer pump (``None`` keeps the config's default; ``object``/
-    #: ``burst`` are bit-identical, ``burst`` vectorizes issue).
-    transfer_pump: Optional[str] = None
     #: Interconnect fabric spec (``None`` keeps the config's default,
     #: ``none``).  See :mod:`repro.fabric` / ``repro variants``.
     fabric: Optional[str] = None
@@ -183,8 +172,6 @@ class TransferSpec(ExperimentSpec):
             contender_factory=factory,
             scheduling_quantum_ns=self.scheduling_quantum_ns,
             memctrl_policy=self.memctrl_policy,
-            memctrl_kernel=self.memctrl_kernel,
-            transfer_pump=self.transfer_pump,
             fabric=self.fabric,
         )
 
@@ -365,8 +352,6 @@ class Sweep:
     sim_cap_bytes: int = DEFAULT_SIM_CAP_BYTES
     scheduling_quantum_ns: Optional[float] = None
     memctrl_policy: Optional[str] = None
-    memctrl_kernel: Optional[str] = None
-    transfer_pump: Optional[str] = None
     fabric: Optional[str] = None
     variants: Optional[Variants] = None
 
@@ -395,8 +380,6 @@ class Sweep:
                 contention=contention,
                 scheduling_quantum_ns=self.scheduling_quantum_ns,
                 memctrl_policy=self.memctrl_policy,
-                memctrl_kernel=self.memctrl_kernel,
-                transfer_pump=self.transfer_pump,
                 fabric=self.fabric,
             )
             for point, direction, size, contention in itertools.product(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.fabric.topology import Topology
 from repro.memctrl.request import MemoryRequest
@@ -36,14 +36,12 @@ Coord = Tuple[int, int]
 
 
 class _Flit:
-    """One request crossing the mesh (plus its prepared-path coordinates)."""
+    """One request crossing the mesh."""
 
-    __slots__ = ("request", "bank_key", "row", "dest", "coord", "link", "hops", "inject_ns")
+    __slots__ = ("request", "dest", "coord", "link", "hops", "inject_ns")
 
-    def __init__(self, request, bank_key, row, dest, coord, link, inject_ns) -> None:
+    def __init__(self, request, dest, coord, link, inject_ns) -> None:
         self.request = request
-        self.bank_key = bank_key
-        self.row = row
         self.dest = dest
         self.coord = coord
         self.link = link
@@ -186,14 +184,14 @@ class MeshTopology(Topology):
         )
 
     # ---------------------------------------------------------------- traffic
-    def inject(self, request: MemoryRequest, bank_key=None, row=None) -> bool:
+    def inject(self, request: MemoryRequest) -> bool:
         """Consume the first-hop credit and start the request across the mesh."""
         src = self._ingress[request.source_id % len(self._ingress)]
         dest = self._endpoint[(request.domain, request.dram_addr.channel)]
         now = self.engine.now
         if src == dest:
             # Degenerate placement (1x1 grids in tests): deliver in place.
-            flit = _Flit(request, bank_key, row, dest, src, None, now)
+            flit = _Flit(request, dest, src, None, now)
             self._in_flight += 1
             self._injected.add(1)
             self._try_deliver(flit)
@@ -204,7 +202,7 @@ class MeshTopology(Topology):
             return False
         link.credits -= 1
         link.flits.add(1)
-        flit = _Flit(request, bank_key, row, dest, src, link, now)
+        flit = _Flit(request, dest, src, link, now)
         self._in_flight += 1
         self._injected.add(1)
         self.engine.schedule_callback(
@@ -257,7 +255,7 @@ class MeshTopology(Topology):
             self._release(released)
 
     def _try_deliver(self, flit: _Flit) -> None:
-        if self._deliver(flit.request, flit.bank_key, flit.row):
+        if self._deliver(flit.request):
             self._finish(flit)
         else:
             # Target controller queue is full: keep holding the last buffer
@@ -289,9 +287,9 @@ class MeshTopology(Topology):
         """Return one credit; wake the next waiting flit or parked producers."""
         link.credits += 1
         if link.waiting:
-            # FIFO across the link preserves per-link ordering (the deque
-            # rotation proof from the burst pump: admission order equals
-            # submission order as long as every wait queue is FIFO).
+            # FIFO across the link preserves per-link ordering: admission
+            # order equals submission order as long as every wait queue is
+            # FIFO.
             self._forward(link.waiting.popleft(), link)
             return
         if link.listeners:

@@ -33,16 +33,8 @@ class Topology:
     #: Registry key (set on registration).
     name: str = "abstract"
 
-    def inject(
-        self, request: MemoryRequest, bank_key=None, row=None
-    ) -> bool:
-        """Accept a decoded request into the fabric; ``False`` = no capacity.
-
-        ``bank_key``/``row`` carry the pre-computed controller coordinates of
-        the burst admission path (:meth:`PimSystem.submit_burst`); they ride
-        along with the request and are handed back to the controller at
-        delivery so the prepared fast path survives the fabric crossing.
-        """
+    def inject(self, request: MemoryRequest) -> bool:
+        """Accept a decoded request into the fabric; ``False`` = no capacity."""
         raise NotImplementedError
 
     def add_slot_listener(

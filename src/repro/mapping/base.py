@@ -13,44 +13,14 @@ address inside the domain, a property the test suite checks with hypothesis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Protocol, Sequence, Tuple
+from typing import Dict, List, Protocol, Sequence, Tuple
 
 from repro.mapping.address import DramAddress
 from repro.sim.config import CACHE_LINE_BYTES, MemoryDomainConfig
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
-
 BLOCK_OFFSET_BITS = 6
 
 FIELD_NAMES = ("channel", "rank", "bankgroup", "bank", "row", "column")
-
-
-class DecodedColumns(NamedTuple):
-    """Struct-of-arrays result of a batch decode: one int64 column per field.
-
-    The columns are parallel to the input address array; ``DecodedColumns[i]``
-    carries the same bits the scalar :meth:`BitFieldMapping.map` would place
-    in the matching :class:`~repro.mapping.address.DramAddress` field.
-    """
-
-    channel: np.ndarray
-    rank: np.ndarray
-    bankgroup: np.ndarray
-    bank: np.ndarray
-    row: np.ndarray
-    column: np.ndarray
-
-    def address_at(self, index: int) -> DramAddress:
-        """Materialise one row of the columns as a scalar ``DramAddress``."""
-        return DramAddress(
-            int(self.channel[index]),
-            int(self.rank[index]),
-            int(self.bankgroup[index]),
-            int(self.bank[index]),
-            int(self.row[index]),
-            int(self.column[index]),
-        )
 
 
 class AddressMapping(Protocol):
@@ -150,11 +120,7 @@ class BitFieldMapping:
 
         self._total_bits = sum(slice_.width for slice_ in self._slices)
         self._validate_hashes()
-        (
-            self._decode_block,
-            self._encode_fields,
-            self._decode_block_batch,
-        ) = self._compile()
+        self._decode_block, self._encode_fields = self._compile()
         self._addressable_bytes = 1 << (self._total_bits + BLOCK_OFFSET_BITS)
 
     def _validate_hashes(self) -> None:
@@ -217,29 +183,6 @@ class BitFieldMapping:
             "    return DramAddress(channel, rank, bankgroup, bank, row, column)"
         )
 
-        # The same straight-line shift/mask/or/xor expressions evaluate
-        # elementwise on a numpy int64 array, so the batch decoder is compiled
-        # from the identical terms -- the scalar and vector paths can never
-        # compute different bits.  Fields the layout leaves empty become
-        # explicit zero columns (``block & 0``) so every field is a parallel
-        # array; the decoder never names numpy, so compiling it needs none.
-        batch_lines = ["def decode_block_batch(block):"]
-        for field_name in FIELD_NAMES:
-            expression = " | ".join(terms[field_name])
-            if expression:
-                batch_lines.append(f"    {field_name} = {expression}")
-            else:
-                batch_lines.append(f"    {field_name} = block & 0")
-        for hash_ in self.xor_hashes:
-            width = self._field_widths[hash_.target]
-            mask = (1 << width) - 1
-            source = (
-                f"({hash_.source} >> {hash_.source_lsb})"
-                if hash_.source_lsb
-                else hash_.source
-            )
-            batch_lines.append(f"    {hash_.target} = {hash_.target} ^ ({source} & {mask})")
-
         encode_lines = [
             "def encode_fields(channel, rank, bankgroup, bank, row, column):"
         ]
@@ -268,22 +211,10 @@ class BitFieldMapping:
         block = " | ".join(parts) or "0"
         encode_lines.append(f"    return ({block}) << {BLOCK_OFFSET_BITS}")
 
-        batch_lines.append(
-            "    return DecodedColumns(channel, rank, bankgroup, bank, row, column)"
-        )
-
-        namespace: Dict[str, object] = {
-            "DramAddress": DramAddress,
-            "DecodedColumns": DecodedColumns,
-        }
+        namespace: Dict[str, object] = {"DramAddress": DramAddress}
         exec("\n".join(decode_lines), namespace)
         exec("\n".join(encode_lines), namespace)
-        exec("\n".join(batch_lines), namespace)
-        return (
-            namespace["decode_block"],
-            namespace["encode_fields"],
-            namespace["decode_block_batch"],
-        )
+        return namespace["decode_block"], namespace["encode_fields"]
 
     @property
     def layout(self) -> Tuple[FieldSlice, ...]:
@@ -314,31 +245,6 @@ class BitFieldMapping:
                 f"{self._addressable_bytes:#x} bytes"
             )
         return self._decode_block(phys_addr >> BLOCK_OFFSET_BITS)
-
-    def map_batch(self, phys_addrs: np.ndarray) -> DecodedColumns:
-        """Decode a whole array of byte addresses into parallel field columns.
-
-        Bit-for-bit equivalent to calling :meth:`map` per element (the batch
-        decoder is compiled from the same generated expressions), with the
-        bounds check vectorised.  ``phys_addrs`` is any integer array-like.
-        """
-        import numpy as np
-
-        addrs = np.ascontiguousarray(phys_addrs, dtype=np.int64)
-        if addrs.size:
-            low = int(addrs.min())
-            high = int(addrs.max())
-            if low < 0 or high >= self._addressable_bytes:
-                bad = low if low < 0 else high
-                if bad < 0:
-                    raise ValueError(
-                        f"physical address must be non-negative, got {bad}"
-                    )
-                raise ValueError(
-                    f"physical address {bad:#x} outside domain of "
-                    f"{self._addressable_bytes:#x} bytes"
-                )
-        return self._decode_block_batch(addrs >> BLOCK_OFFSET_BITS)
 
     def inverse(self, dram_addr: DramAddress) -> int:
         """Encode a DRAM address back into the byte address of its 64 B block."""
@@ -371,7 +277,6 @@ __all__ = [
     "AddressMapping",
     "BLOCK_OFFSET_BITS",
     "BitFieldMapping",
-    "DecodedColumns",
     "FIELD_NAMES",
     "FieldSlice",
     "XorHash",

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Callable, List
 
 from repro.dram.channel import DdrChannel
-from repro.memctrl.kernel import kernel_class
+from repro.memctrl.kernel import ServiceKernel
 from repro.memctrl.policies import create_policy
 from repro.memctrl.queues import IndexedQueue
 from repro.memctrl.request import MemoryRequest
@@ -65,7 +65,7 @@ class ChannelController:
             if type(self.policy).on_enqueue is not _Base.on_enqueue
             else None
         )
-        self.kernel = kernel_class(config.kernel)(
+        self.kernel = ServiceKernel(
             engine, channel, config, self.policy, self, batching=batching
         )
         self._read_bw = stats.bandwidth_tracker(f"{name}/read")
@@ -116,40 +116,6 @@ class ChannelController:
         )
         request._bank_row = (bank_key, addr.row)
         # Inlined IndexedQueue.add (one call per accepted request otherwise).
-        queue._pending[seq] = request
-        if queue._indexed:
-            queue._index_add(request)
-        if self._policy_on_enqueue is not None:
-            self._policy_on_enqueue(request)
-        kernel = self.kernel
-        if not kernel._service_pending:
-            kernel.schedule_service()
-        return True
-
-    def enqueue_prepared(
-        self, request: MemoryRequest, bank_key: int, row: int
-    ) -> bool:
-        """:meth:`enqueue` with the ``(bank_key, row)`` coordinates precomputed.
-
-        The burst admission path (:meth:`repro.system.PimSystem.submit_burst`)
-        computes flat bank keys for a whole address column in one vectorized
-        pass; this entry point skips re-deriving them from the decoded
-        address.  Behaviour is otherwise identical to :meth:`enqueue`.
-        """
-        if request.is_write:
-            queue = self._write_queue
-            if len(queue) >= self.config.write_queue_depth:
-                return False
-        else:
-            queue = self._read_queue
-            if len(queue) >= self.config.read_queue_depth:
-                return False
-        request.arrival_ns = self.engine._now
-        request.channel_id = self.channel.channel_id
-        seq = self._next_seq
-        self._next_seq = seq + 1
-        request._seq = seq
-        request._bank_row = (bank_key, row)
         queue._pending[seq] = request
         if queue._indexed:
             queue._index_add(request)

@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING
 from repro.dram.channel import DdrChannel
 from repro.memctrl.policies import FrFcfsPolicy, SchedulerPolicy
 from repro.memctrl.queues import IndexedQueue
-from repro.registry import VariantRegistry
 from repro.sim.config import MemCtrlConfig
 from repro.sim.engine import SimulationEngine, ns_to_ticks
 
@@ -246,51 +245,4 @@ class ServiceKernel:
         self.policy.reset()
 
 
-# --------------------------------------------------------------------- registry
-def _object_kernel():
-    return ServiceKernel
-
-
-def _soa_kernel():
-    # Imported lazily to avoid a cycle (soa imports this module).
-    from repro.memctrl.soa import SoaServiceKernel
-
-    return SoaServiceKernel
-
-
-#: The service-kernel axis on the shared variant-registry mechanism.  Kernel
-#: specs are exact names with no ``:args`` suffix, so the axis opts out of
-#: name normalisation and spec parsing.
-KERNELS = VariantRegistry(
-    "service kernel",
-    error=ValueError,
-    known_label="available",
-    dup_label="kernel",
-    normalize_names=False,
-    parse_specs=False,
-)
-KERNELS.register(
-    "object", _object_kernel, "batched per-object service kernel (default)"
-)
-KERNELS.register(
-    "soa", _soa_kernel, "struct-of-arrays burst service kernel (bit-identical)"
-)
-
-
-def available_kernels() -> tuple:
-    """Names accepted by :data:`MemCtrlConfig.kernel` (and ``--kernel``)."""
-    return tuple(KERNELS.names())
-
-
-def kernel_class(spec: str):
-    """Resolve a kernel spec string to its implementation class.
-
-    ``object`` is the batched per-object kernel above; ``soa`` is the
-    struct-of-arrays burst kernel (:mod:`repro.memctrl.soa`, imported lazily
-    to avoid a cycle).  Both are bit-identical at the event level -- the
-    differential suite (``tests/differential``) enforces it.
-    """
-    return KERNELS.create(spec)
-
-
-__all__ = ["KERNELS", "ServiceKernel", "available_kernels", "kernel_class"]
+__all__ = ["ServiceKernel"]

@@ -192,7 +192,7 @@ class QosPriorityPolicy(SchedulerPolicy):
 # ---------------------------------------------------------------------------
 
 #: The scheduler-policy axis on the shared variant-registry mechanism
-#: (``repro variants`` lists it alongside kernels, pumps, backends, fabrics).
+#: (``repro variants`` lists it alongside the backends and fabrics).
 POLICIES = VariantRegistry(
     "scheduler policy",
     error=KeyError,

@@ -147,7 +147,7 @@ class IndexedQueue:
         """:meth:`oldest_hit` without the prefix scan (the minimum hit head).
 
         Callers that have already scanned the queue prefix themselves (the
-        service kernels' inlined FR-FCFS pick) call this directly.
+        service kernel's inlined FR-FCFS pick) call this directly.
         """
         if self._channel is not channel:
             self._attach(channel)

@@ -1,9 +1,8 @@
 """Generic variant registry: one mechanism behind every pluggable axis.
 
-The reproduction grew five independent "variant" axes -- scheduler policies
-(:mod:`repro.memctrl.policies`), DRAM service kernels
-(:mod:`repro.memctrl.kernel`), transfer pumps (:mod:`repro.memctrl.pump`),
-transfer backends (:mod:`repro.api.backends`) and the interconnect fabric
+The reproduction has three "variant" axes -- scheduler policies
+(:mod:`repro.memctrl.policies`), transfer backends
+(:mod:`repro.api.backends`) and the interconnect fabric
 (:mod:`repro.fabric`).  Each axis historically carried its own registry dict,
 spec-string parser and error wording; :class:`VariantRegistry` is the one
 implementation they all share now, parameterised by the small pieces that
@@ -15,7 +14,7 @@ Spec-string grammar
 A variant *spec* is a plain string -- picklable, cache-key friendly and
 CLI-friendly::
 
-    name                     # e.g. "frfcfs", "soa", "none"
+    name                     # e.g. "frfcfs", "pim_mmu", "none"
     name:args                # e.g. "frfcfs_cap:8", "mesh:4x4"
     name:pos,key=val,...     # e.g. "mesh:4x4,hop_ns=2.0,credits=4"
 
@@ -27,9 +26,7 @@ did-you-mean suggestion.  :func:`parse_typed_kv` is the shared typed
 
 :class:`Variants` is the typed bundle of one spec per axis, accepted by
 :class:`repro.api.Session`, :class:`~repro.api.session.SessionBuilder` and
-every experiment/scenario spec that threads variant knobs -- the replacement
-for the historical ``memctrl_policy=``/``memctrl_kernel=``/
-``transfer_pump=`` keyword sprawl.
+every experiment/scenario spec that threads variant knobs.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ class VariantRegistry:
     ----------
     axis:
         Human-readable axis name used in error messages
-        (``"scheduler policy"``, ``"transfer pump"``, ...).
+        (``"scheduler policy"``, ``"fabric"``, ...).
     error:
         Exception type raised for unknown specs (``KeyError`` or
         ``ValueError``; the historical per-axis types are preserved).
@@ -225,16 +222,12 @@ class Variants:
     Every field is an optional spec string; ``None`` means "keep the config's
     current value".  Accepted by :meth:`repro.api.Session.open`,
     :class:`~repro.api.session.SessionBuilder` and the experiment/scenario
-    specs (``TransferSpec``/``Sweep``/``ScenarioSpec``/``ServingSpec``) in
-    place of the deprecated ``memctrl_policy=``/``memctrl_kernel=``/
-    ``transfer_pump=`` keywords::
+    specs (``TransferSpec``/``Sweep``/``ScenarioSpec``/``ServingSpec``)::
 
         Session.open(variants=Variants(policy="frfcfs_cap:8", fabric="mesh:4x4"))
     """
 
     policy: Optional[str] = None
-    kernel: Optional[str] = None
-    pump: Optional[str] = None
     fabric: Optional[str] = None
 
     def validate(self) -> "Variants":
@@ -243,14 +236,6 @@ class Variants:
             from repro.memctrl.policies import create_policy
 
             create_policy(self.policy)
-        if self.kernel is not None:
-            from repro.memctrl.kernel import kernel_class
-
-            kernel_class(self.kernel)
-        if self.pump is not None:
-            from repro.memctrl.pump import validate_pump
-
-            validate_pump(self.pump)
         if self.fabric is not None:
             from repro.fabric import validate_fabric
 
@@ -267,10 +252,6 @@ class Variants:
         updates = {}
         if self.policy is not None:
             updates["policy"] = self.policy
-        if self.kernel is not None:
-            updates["kernel"] = self.kernel
-        if self.pump is not None:
-            updates["transfer_pump"] = self.pump
         if self.fabric is not None:
             updates["fabric"] = self.fabric
         if not updates:
@@ -285,19 +266,12 @@ class Variants:
             return self
         return Variants(
             policy=self.policy if self.policy is not None else base.policy,
-            kernel=self.kernel if self.kernel is not None else base.kernel,
-            pump=self.pump if self.pump is not None else base.pump,
             fabric=self.fabric if self.fabric is not None else base.fabric,
         )
 
     @property
     def empty(self) -> bool:
-        return (
-            self.policy is None
-            and self.kernel is None
-            and self.pump is None
-            and self.fabric is None
-        )
+        return self.policy is None and self.fabric is None
 
 
 __all__ = ["VariantRegistry", "Variants", "parse_typed_kv"]

@@ -61,12 +61,6 @@ class ScenarioSpec(ExperimentSpec):
     #: Memory-scheduler policy spec (``None`` keeps FR-FCFS).  Tenant-aware
     #: policies reference tenant names, e.g. ``qos_priority:lat=1``.
     memctrl_policy: Optional[str] = None
-    #: DRAM service-kernel implementation (``None`` keeps the config default;
-    #: ``object``/``soa`` produce bit-identical results).
-    memctrl_kernel: Optional[str] = None
-    #: Transfer pump (``None`` keeps the config default; ``object``/``burst``
-    #: produce bit-identical results).
-    transfer_pump: Optional[str] = None
     #: Interconnect fabric spec (``None`` keeps the config default,
     #: ``none``).  See :mod:`repro.fabric` / ``repro variants``.
     fabric: Optional[str] = None
@@ -83,10 +77,7 @@ class ScenarioSpec(ExperimentSpec):
     def run(self, config: SystemConfig) -> ScenarioOutcome:
         """Execute the scenario (shared run + isolated baselines) on ``config``."""
         config = Variants(
-            policy=self.memctrl_policy,
-            kernel=self.memctrl_kernel,
-            pump=self.transfer_pump,
-            fabric=self.fabric,
+            policy=self.memctrl_policy, fabric=self.fabric
         ).apply(config)
         return run_scenario(
             config,

@@ -62,8 +62,6 @@ class ServingSpec(ExperimentSpec):
     kv_pool_bytes: Optional[int] = None
     iteration_overhead_ns: float = 0.0
     memctrl_policy: Optional[str] = None
-    memctrl_kernel: Optional[str] = None
-    transfer_pump: Optional[str] = None
     fabric: Optional[str] = None
     variants: Optional[Variants] = None
     point_label: str = ""
@@ -81,10 +79,7 @@ class ServingSpec(ExperimentSpec):
     def run(self, config: SystemConfig) -> ServingOutcome:
         """Execute the serving run on ``config`` (with the policy applied)."""
         config = Variants(
-            policy=self.memctrl_policy,
-            kernel=self.memctrl_kernel,
-            pump=self.transfer_pump,
-            fabric=self.fabric,
+            policy=self.memctrl_policy, fabric=self.fabric
         ).apply(config)
         return run_serving(
             config,

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.memctrl.burst import MIN_BURST_WINDOW, RequestBurst
 from repro.memctrl.request import MemoryRequest, RequestStream
 from repro.sim.config import CACHE_LINE_BYTES
 from repro.sim.stats import Histogram
@@ -485,7 +484,6 @@ class TraceReplayer:
         self._deferred = 0
         self._parked_request: Optional[tuple] = None
         self._retry_registered = False
-        self._use_burst = system.config.memctrl.transfer_pump == "burst"
         self._latency = Histogram("replay/latency_ns")
         self._last_completion_ns = 0.0
         self._start_ns = 0.0
@@ -553,47 +551,9 @@ class TraceReplayer:
     def _drain_pending(self) -> None:
         pending = self._pending
         while pending:
-            if (
-                self._use_burst
-                and self._parked_request is None
-                and len(pending) >= MIN_BURST_WINDOW
-            ):
-                self._drain_burst()
-                return
             if not self._try_issue(pending[0]):
                 return
             pending.popleft()
-
-    def _drain_burst(self) -> None:
-        """Issue the whole backlog as one burst (same order, same admission).
-
-        ``submit_burst`` admits in order and stops at the first reject, so the
-        deferred count and the parked-request semantics match the scalar drain
-        exactly: one deferred increment per failed submit attempt, and the
-        rejected request object itself is retried.
-        """
-        pending = self._pending
-        events = list(pending)
-        tenant = self.tenant
-        burst = RequestBurst(
-            phys_addrs=[event.phys_addr for event in events],
-            is_write=[event.is_write for event in events],
-            sizes=[event.size_bytes for event in events],
-            tenants=[
-                tenant if tenant is not None else event.tenant for event in events
-            ],
-            stream=RequestStream.OTHER,
-            on_complete=self._on_request_complete,
-        )
-        accepted, requests = self.system.submit_burst(burst)
-        self._issued += accepted
-        for _ in range(accepted):
-            pending.popleft()
-        if accepted < len(events):
-            rejected = requests[accepted]
-            self._parked_request = (events[accepted], rejected)
-            self._deferred += 1
-            self._register_retry(rejected)
 
     def _try_issue(self, event: TraceEvent) -> bool:
         parked = self._parked_request

@@ -279,17 +279,6 @@ class MemCtrlConfig:
     write_high_watermark: int = 48
     write_low_watermark: int = 16
     policy: str = "FR-FCFS"
-    #: Service-kernel implementation: ``object`` (the PR 4 batched kernel) or
-    #: ``soa`` (struct-of-arrays burst kernel).  Both produce bit-identical
-    #: event-level behaviour; the differential suite enforces it.
-    kernel: str = "object"
-    #: Transfer-pump implementation used by the DCE / software / memcpy
-    #: engines and the replay/serving drivers: ``object`` issues one
-    #: :class:`MemoryRequest` per chunk, ``burst`` issues whole in-flight
-    #: windows as :class:`RequestBurst` columns via ``submit_burst``.  Both
-    #: are bit-identical at the event level; the differential suite and the
-    #: figure byte-compare enforce it.
-    transfer_pump: str = "object"
     #: Interconnect fabric between engines and the channel controllers
     #: (:mod:`repro.fabric`).  ``none`` keeps the direct-submit path (no
     #: fabric object is built -- bit-identical to the pre-fabric hot path);

@@ -316,7 +316,7 @@ class SimulationEngine:
                 entry[2]._engine = None
             else:
                 live.append(entry)
-        # In place: drive loops and service kernels hold the heap list.
+        # In place: drive loops and the service kernel hold the heap list.
         queue[:] = live
         heapq.heapify(queue)
         self._cancelled_pending = 0

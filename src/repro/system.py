@@ -17,7 +17,7 @@ design points.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.hetmap import HeterogeneousMapper
 from repro.fabric import create_fabric
@@ -38,9 +38,6 @@ from repro.pim.topology import PimTopology
 from repro.sim.config import DesignPoint, SystemConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.stats import StatsRegistry
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
 
 
 class TraceHookHandle:
@@ -214,63 +211,6 @@ class PimSystem:
         phys, dram_addr = self._heap_fast(affine, pim_core_id, byte_offset)
         return phys, PIM_DOMAIN, dram_addr
 
-    def pim_heap_addrs_batch(self, pim_core_ids, byte_offsets) -> np.ndarray:
-        """Vectorized :meth:`pim_heap_addr` over parallel columns.
-
-        Accepts equal-length sequences of core ids and byte offsets and
-        returns the int64 physical-address column, element-for-element equal
-        to calling :meth:`pim_heap_addr` in a loop.  On affine layouts the
-        whole column is pure integer array math (per-core bases come from the
-        same cache the scalar path fills); otherwise it falls back to the
-        generic per-element walk.
-        """
-        import numpy as np
-
-        cores = np.ascontiguousarray(pim_core_ids, dtype=np.int64)
-        offsets = np.ascontiguousarray(byte_offsets, dtype=np.int64)
-        n = cores.shape[0]
-        if offsets.shape[0] != n:
-            raise ValueError("pim_core_ids / byte_offsets length mismatch")
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
-        affine = self._heap_affine
-        if affine is None:
-            mapping = self.mapper.mapping_for(PIM_DOMAIN)
-            partition = self.partition
-            return np.fromiter(
-                (
-                    pim_heap_physical_address(partition, mapping, core, offset)
-                    for core, offset in zip(cores.tolist(), offsets.tolist())
-                ),
-                dtype=np.int64,
-                count=n,
-            )
-        row_shift, col_shift, cols_log2, col_mask, bank_capacity, pim_base, mapping = affine
-        low = int(offsets.min())
-        high = int(offsets.max())
-        if low < 0 or high >= bank_capacity:
-            bad = low if low < 0 else high
-            raise ValueError(
-                f"heap offset {bad:#x} outside the per-core MRAM of "
-                f"{bank_capacity:#x} bytes"
-            )
-        cache = self._heap_core_base
-        unique = np.unique(cores)
-        base_column = np.empty(unique.shape[0], dtype=np.int64)
-        for index, core in enumerate(unique.tolist()):
-            cached = cache.get(core)
-            if cached is None:
-                home = pim_core_coordinates(mapping.geometry, core)
-                cached = (mapping.inverse(home) >> 6, home)
-                cache[core] = cached
-            base_column[index] = cached[0]
-        bases = base_column[np.searchsorted(unique, cores)]
-        block_index = offsets >> 6
-        row = block_index >> cols_log2
-        column = block_index & col_mask
-        block = bases | (row << row_shift) | (column << col_shift)
-        return pim_base + (block << 6) + (offsets & 63)
-
     def domain_system(self, domain: str) -> MemorySystem:
         if domain == DRAM_DOMAIN:
             return self.dram
@@ -299,175 +239,6 @@ class PimSystem:
             for hook in self._trace_hooks:
                 hook(request, self.engine.now)
         return accepted
-
-    def submit_prepared(
-        self, request: MemoryRequest, bank_key: int, row: int
-    ) -> bool:
-        """:meth:`submit` for a pre-decoded request with ``(bank_key, row)`` known.
-
-        The caller guarantees ``request.domain`` / ``request.dram_addr`` are
-        already set and supplies the flat bank key and row it computed
-        column-wise (the burst transfer pump pre-decodes whole schedule
-        columns up front).  Dispatch, admission and trace hooks match
-        :meth:`submit` exactly; only the per-request key derivation is
-        skipped.
-        """
-        if self._fabric is not None:
-            return self._fabric.inject(request, bank_key, row)
-        accepted = self._domain_controllers[request.domain][
-            request.dram_addr.channel
-        ].enqueue_prepared(request, bank_key, row)
-        if accepted and self._trace_hooks:
-            for hook in self._trace_hooks:
-                hook(request, self.engine.now)
-        return accepted
-
-    def submit_burst(self, burst) -> Tuple[int, List[MemoryRequest]]:
-        """Decode and route a whole :class:`RequestBurst` in one vectorized pass.
-
-        The burst's address column is domain-dispatched and decoded through
-        the compiled batch decoder (:meth:`BitFieldMapping.map_batch`), flat
-        bank keys are computed column-wise, and per-request objects are then
-        materialized in submission order from plain-int fields.  Admission
-        stops at the first rejected request, exactly like submitting one at a
-        time and breaking on the first ``False``.
-
-        Returns ``(accepted, requests)`` where ``requests`` holds the
-        materialized objects up to *and including* the first rejected one
-        (``len(requests) == accepted`` when everything was admitted) -- the
-        caller parks the rejected object for retry, preserving the
-        park-and-retry idiom's object identity.  Event-level behaviour is
-        bit-identical to the scalar :meth:`submit` loop; the differential
-        suite asserts it.
-        """
-        addrs = burst.phys_addrs
-        n = addrs.shape[0]
-        if n == 0:
-            return 0, []
-        mapper = self.mapper
-        pim_base = mapper.partition.pim_base
-        pim_mask = addrs >= pim_base
-        npim = int(pim_mask.sum())
-        if npim == 0:
-            cols = mapper.mapping_for(DRAM_DOMAIN).map_batch(addrs)
-            ref = self.dram.controllers[0].channel
-            bank_keys = (
-                cols.rank * ref._banks_per_rank
-                + cols.bankgroup * ref._banks_per_group
-                + cols.bank
-            )
-            domains = None
-            single_domain = DRAM_DOMAIN
-        elif npim == n:
-            cols = mapper.mapping_for(PIM_DOMAIN).map_batch(addrs - pim_base)
-            ref = self.pim.controllers[0].channel
-            bank_keys = (
-                cols.rank * ref._banks_per_rank
-                + cols.bankgroup * ref._banks_per_group
-                + cols.bank
-            )
-            domains = None
-            single_domain = PIM_DOMAIN
-        else:
-            import numpy as np
-
-            dram_mask = ~pim_mask
-            dram_cols = mapper.mapping_for(DRAM_DOMAIN).map_batch(addrs[dram_mask])
-            pim_cols = mapper.mapping_for(PIM_DOMAIN).map_batch(
-                addrs[pim_mask] - pim_base
-            )
-            dram_ref = self.dram.controllers[0].channel
-            pim_ref = self.pim.controllers[0].channel
-            merged = []
-            for dram_col, pim_col in zip(dram_cols, pim_cols):
-                out = np.empty(n, dtype=np.int64)
-                out[dram_mask] = dram_col
-                out[pim_mask] = pim_col
-                merged.append(out)
-            cols = type(dram_cols)(*merged)
-            bank_keys = np.empty(n, dtype=np.int64)
-            bank_keys[dram_mask] = (
-                dram_cols.rank * dram_ref._banks_per_rank
-                + dram_cols.bankgroup * dram_ref._banks_per_group
-                + dram_cols.bank
-            )
-            bank_keys[pim_mask] = (
-                pim_cols.rank * pim_ref._banks_per_rank
-                + pim_cols.bankgroup * pim_ref._banks_per_group
-                + pim_cols.bank
-            )
-            domains = [
-                PIM_DOMAIN if flag else DRAM_DOMAIN for flag in pim_mask.tolist()
-            ]
-            single_domain = None
-
-        # Batch-convert every column to plain Python ints once (``tolist`` is
-        # far cheaper than per-element numpy indexing, and keeps np.int64 out
-        # of request fields and serialized results).
-        channels = cols.channel.tolist()
-        ranks = cols.rank.tolist()
-        bankgroups = cols.bankgroup.tolist()
-        banks = cols.bank.tolist()
-        rows = cols.row.tolist()
-        columns = cols.column.tolist()
-        keys = bank_keys.tolist()
-        addrs_l = addrs.tolist()
-        writes = burst.is_write.tolist()
-        sizes = burst.sizes.tolist()
-        codes = burst.tenant_codes.tolist()
-        table = burst.tenant_table
-        stream = burst.stream
-        source_id = burst.source_id
-        on_complete = burst.on_complete
-        cores = getattr(burst, "pim_core_ids", None)
-        if cores is None or isinstance(cores, int):
-            core_scalar, core_list = cores, None
-        else:
-            core_scalar, core_list = None, cores.tolist()
-        controllers_by_domain = self._domain_controllers
-        trace_hooks = self._trace_hooks
-        fabric = self._fabric
-        now = self.engine.now
-
-        requests: List[MemoryRequest] = []
-        accepted = 0
-        for i in range(n):
-            domain = single_domain if domains is None else domains[i]
-            request = MemoryRequest(
-                phys_addr=addrs_l[i],
-                is_write=writes[i],
-                size_bytes=sizes[i],
-                stream=stream,
-                source_id=source_id,
-                pim_core_id=core_scalar if core_list is None else core_list[i],
-                tenant=table[codes[i]],
-                on_complete=on_complete,
-            )
-            request.domain = domain
-            request.dram_addr = DramAddress(
-                channels[i], ranks[i], bankgroups[i], banks[i], rows[i], columns[i]
-            )
-            requests.append(request)
-            if fabric is not None:
-                # X-Y routes are deterministic, so the hop count is known at
-                # injection time; trace hooks fire at delivery instead.
-                burst.fabric_hops[i] = fabric.planned_hops(request)
-                if not fabric.inject(request, keys[i], rows[i]):
-                    break
-                accepted += 1
-                continue
-            controller = controllers_by_domain[domain][channels[i]]
-            if not controller.enqueue_prepared(request, keys[i], rows[i]):
-                break
-            accepted += 1
-            if trace_hooks:
-                for hook in trace_hooks:
-                    hook(request, now)
-        if accepted:
-            # Integer picoseconds: the engine's full fixed-point tick value
-            # (62 fractional bits) does not fit an int64 column.
-            burst.arrival_ticks[:accepted] = self.engine.now_ps
-        return accepted, requests
 
     def attach_trace_hook(
         self, hook: Callable[[MemoryRequest, float], None]
@@ -511,9 +282,7 @@ class PimSystem:
         self.domain_system(request.domain).add_slot_listener(request, callback)
 
     # ----------------------------------------------------- fabric integration
-    def _fabric_deliver(
-        self, request: MemoryRequest, bank_key=None, row=None
-    ) -> bool:
+    def _fabric_deliver(self, request: MemoryRequest) -> bool:
         """Admit a fabric-delivered request into its channel controller.
 
         This is the back half of the direct submit path: controller admission
@@ -523,14 +292,9 @@ class PimSystem:
         keeps holding its last buffer slot and parks the delivery via
         :meth:`_fabric_park_delivery` -- backpressure into the mesh.
         """
-        if bank_key is None:
-            accepted = self._domain_controllers[request.domain][
-                request.dram_addr.channel
-            ].enqueue(request)
-        else:
-            accepted = self._domain_controllers[request.domain][
-                request.dram_addr.channel
-            ].enqueue_prepared(request, bank_key, row)
+        accepted = self._domain_controllers[request.domain][
+            request.dram_addr.channel
+        ].enqueue(request)
         if accepted and self._trace_hooks:
             for hook in self._trace_hooks:
                 hook(request, self.engine.now)

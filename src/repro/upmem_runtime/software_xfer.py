@@ -19,16 +19,12 @@ bounded.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
+from typing import Callable, Deque, Optional
 
-from repro.memctrl.burst import MIN_BURST_WINDOW, RequestBurst
 from repro.memctrl.request import MemoryRequest, RequestStream
 from repro.sim.config import CACHE_LINE_BYTES
 from repro.transfer.descriptor import TransferDirection
 from repro.system import PimSystem
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
 
 
 class SoftwareCopyThread:
@@ -75,10 +71,6 @@ class SoftwareCopyThread:
         self._finished = False
         self._retry_registered = False
         self.chunks_completed = 0
-        #: Burst pump: reads of one free MSHR window go out as a single
-        #: RequestBurst; this map recovers the chunk index at completion.
-        self._use_burst = system.config.memctrl.transfer_pump == "burst"
-        self._chunk_of: Dict[MemoryRequest, int] = {}
 
     # ----------------------------------------------------- scheduler interface
     def on_scheduled(self, now_ns: float) -> None:
@@ -129,24 +121,6 @@ class SoftwareCopyThread:
             parked = self._parked_read
             if parked is not None and parked[0] == chunk:
                 request = parked[1]
-            elif self._use_burst:
-                window = min(
-                    self.max_outstanding - self._outstanding,
-                    self.total_chunks - chunk,
-                )
-                if window >= MIN_BURST_WINDOW:
-                    if not self._submit_read_burst(chunk, window):
-                        return
-                    continue
-                request = MemoryRequest(
-                    phys_addr=self._source_addr(chunk),
-                    is_write=False,
-                    stream=RequestStream.TRANSFER_READ,
-                    pim_core_id=self.pim_core_id,
-                    tenant=self.tenant,
-                    on_complete=self._burst_read_complete,
-                )
-                self._chunk_of[request] = chunk
             else:
                 request = MemoryRequest(
                     phys_addr=self._source_addr(chunk),
@@ -163,50 +137,6 @@ class SoftwareCopyThread:
             self._parked_read = None
             self._next_chunk += 1
             self._outstanding += 1
-
-    def _read_addrs(self, chunk: int, window: int) -> np.ndarray:
-        """Source addresses of ``window`` consecutive chunks, as one column."""
-        import numpy as np
-
-        offsets = (chunk + np.arange(window, dtype=np.int64)) * CACHE_LINE_BYTES
-        if self.direction is TransferDirection.DRAM_TO_PIM:
-            return self.dram_base_addr + offsets
-        return self.system.pim_heap_addrs_batch(
-            np.full(window, self.pim_core_id, dtype=np.int64),
-            self.pim_heap_offset + offsets,
-        )
-
-    def _submit_read_burst(self, chunk: int, window: int) -> bool:
-        """Issue the whole free read window as one burst; False when blocked.
-
-        ``submit_burst`` admits in submission order and stops at the first
-        reject, exactly like the scalar loop; the rejected request is parked
-        so the retry pass resubmits the *same* object the controller saw.
-        """
-        burst = RequestBurst(
-            phys_addrs=self._read_addrs(chunk, window),
-            is_write=False,
-            sizes=CACHE_LINE_BYTES,
-            tenants=self.tenant,
-            stream=RequestStream.TRANSFER_READ,
-            on_complete=self._burst_read_complete,
-            pim_core_ids=self.pim_core_id,
-        )
-        accepted, requests = self.system.submit_burst(burst)
-        chunk_of = self._chunk_of
-        for index, request in enumerate(requests):
-            chunk_of[request] = chunk + index
-        self._next_chunk += accepted
-        self._outstanding += accepted
-        if accepted < window:
-            rejected = requests[accepted]
-            self._parked_read = (chunk + accepted, rejected)
-            self._register_retry(rejected)
-            return False
-        return True
-
-    def _burst_read_complete(self, request: MemoryRequest) -> None:
-        self._on_read_complete(self._chunk_of.pop(request))
 
     def _register_retry(self, request: MemoryRequest) -> None:
         if self._retry_registered:

@@ -45,11 +45,10 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.api.results import RequestRecord
-from repro.memctrl.burst import RequestBurst
 from repro.memctrl.request import MemoryRequest, RequestStream
 from repro.sim.config import CACHE_LINE_BYTES, DesignPoint, SystemConfig
 from repro.system import PimSystem, build_system
@@ -736,7 +735,6 @@ class ServingDriver:
         self._pending_lines: Deque[Tuple[int, bool, str]] = deque()
         self._parked: Optional[Tuple[Tuple[int, bool, str], MemoryRequest]] = None
         self._retry_registered = False
-        self._use_burst = system.config.memctrl.transfer_pump == "burst"
 
         self.iterations = 0
         self.memory_requests = 0
@@ -922,44 +920,12 @@ class ServingDriver:
 
     # -- submission (park-and-retry, the TraceReplayer idiom) ----------------
 
-    #: Below this many pending lines the scalar path wins (burst setup cost).
-    _BURST_MIN = 8
-
     def _drain_pending(self) -> None:
         pending = self._pending_lines
-        use_burst = self._use_burst
         while pending:
-            if (
-                not use_burst
-                or self._parked is not None
-                or len(pending) < self._BURST_MIN
-            ):
-                if not self._try_issue(pending[0]):
-                    return
-                pending.popleft()
-                continue
-            # Burst fast path: decode and admit every pending line through
-            # the columnar submit.  Event-level behaviour is identical to
-            # issuing them one at a time (submit_burst stops at the first
-            # rejection, whose materialized request is parked for retry).
-            lines = list(pending)
-            burst = RequestBurst(
-                phys_addrs=[line[0] for line in lines],
-                is_write=[line[1] for line in lines],
-                sizes=CACHE_LINE_BYTES,
-                tenants=[line[2] for line in lines],
-                on_complete=self._on_line_complete,
-            )
-            accepted, requests = self.system.submit_burst(burst)
-            self.memory_requests += accepted
-            for _ in range(accepted):
-                pending.popleft()
-            if pending:
-                rejected = requests[accepted]
-                self._parked = (pending[0], rejected)
-                self.deferred += 1
-                self._register_retry(rejected)
-            return
+            if not self._try_issue(pending[0]):
+                return
+            pending.popleft()
 
     def _try_issue(self, line: Tuple[int, bool, str]) -> bool:
         parked = self._parked

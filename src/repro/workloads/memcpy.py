@@ -12,9 +12,8 @@ with the channel count (Figure 14).
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Optional
+from typing import Callable, Deque, Optional
 
-from repro.memctrl.burst import MIN_BURST_WINDOW, RequestBurst
 from repro.memctrl.request import MemoryRequest, RequestStream
 from repro.sim.config import CACHE_LINE_BYTES
 from repro.system import PimSystem
@@ -60,10 +59,6 @@ class MemcpyThread:
         self._finished = False
         self._retry_registered = False
         self.chunks_completed = 0
-        #: Burst pump: the free read window goes out as one RequestBurst;
-        #: this map recovers the chunk index at completion.
-        self._use_burst = system.config.memctrl.transfer_pump == "burst"
-        self._chunk_of: Dict[MemoryRequest, int] = {}
 
     # ---------------------------------------------------- scheduler interface
     def on_scheduled(self, now_ns: float) -> None:
@@ -95,23 +90,6 @@ class MemcpyThread:
             parked = self._parked_read
             if parked is not None and parked[0] == chunk:
                 request = parked[1]
-            elif self._use_burst:
-                window = min(
-                    self.max_outstanding - self._outstanding,
-                    self.total_chunks - chunk,
-                )
-                if window >= MIN_BURST_WINDOW:
-                    if not self._submit_read_burst(chunk, window):
-                        return
-                    continue
-                request = MemoryRequest(
-                    phys_addr=self.src_base + chunk * CACHE_LINE_BYTES,
-                    is_write=False,
-                    stream=RequestStream.MEMCPY_READ,
-                    tenant=self.tenant,
-                    on_complete=self._burst_read_complete,
-                )
-                self._chunk_of[request] = chunk
             else:
                 request = MemoryRequest(
                     phys_addr=self.src_base + chunk * CACHE_LINE_BYTES,
@@ -127,38 +105,6 @@ class MemcpyThread:
             self._parked_read = None
             self._next_chunk += 1
             self._outstanding += 1
-
-    def _submit_read_burst(self, chunk: int, window: int) -> bool:
-        """Issue the whole free read window as one burst; False when blocked."""
-        import numpy as np
-
-        addrs = (
-            self.src_base
-            + (chunk + np.arange(window, dtype=np.int64)) * CACHE_LINE_BYTES
-        )
-        burst = RequestBurst(
-            phys_addrs=addrs,
-            is_write=False,
-            sizes=CACHE_LINE_BYTES,
-            tenants=self.tenant,
-            stream=RequestStream.MEMCPY_READ,
-            on_complete=self._burst_read_complete,
-        )
-        accepted, requests = self.system.submit_burst(burst)
-        chunk_of = self._chunk_of
-        for index, request in enumerate(requests):
-            chunk_of[request] = chunk + index
-        self._next_chunk += accepted
-        self._outstanding += accepted
-        if accepted < window:
-            rejected = requests[accepted]
-            self._parked_read = (chunk + accepted, rejected)
-            self._register_retry(rejected)
-            return False
-        return True
-
-    def _burst_read_complete(self, request: MemoryRequest) -> None:
-        self._on_read_complete(self._chunk_of.pop(request))
 
     def _register_retry(self, request: MemoryRequest) -> None:
         if self._retry_registered:

@@ -141,8 +141,6 @@ def run_transfer_experiment(
     contender_factory: Optional[ContenderFactory] = None,
     scheduling_quantum_ns: Optional[float] = None,
     memctrl_policy: Optional[str] = None,
-    memctrl_kernel: Optional[str] = None,
-    transfer_pump: Optional[str] = None,
     fabric: Optional[str] = None,
 ) -> TransferExperiment:
     """Run (and, beyond ``sim_cap_bytes``, extrapolate) one transfer experiment.
@@ -151,23 +149,15 @@ def run_transfer_experiment(
     supplied configuration (the Figure 13 contention study scales it down to
     keep the transfer-to-quantum ratio of the paper's much larger transfers);
     ``memctrl_policy`` overrides the memory-scheduler policy spec (see
-    :mod:`repro.memctrl.policies`); ``memctrl_kernel`` selects the DRAM
-    service-kernel implementation (``object``/``soa``, bit-identical);
-    ``transfer_pump`` selects the transfer pump (``object``/``burst``,
-    likewise bit-identical); ``fabric`` selects the interconnect fabric
-    (``none``/``mesh:WxH``, see :mod:`repro.fabric`).
+    :mod:`repro.memctrl.policies`); ``fabric`` selects the interconnect
+    fabric (``none``/``mesh:WxH``, see :mod:`repro.fabric`).
     """
     config = config if config is not None else SystemConfig.paper_baseline()
     if scheduling_quantum_ns is not None:
         config = replace(
             config, os=replace(config.os, scheduling_quantum_ns=scheduling_quantum_ns)
         )
-    config = Variants(
-        policy=memctrl_policy,
-        kernel=memctrl_kernel,
-        pump=transfer_pump,
-        fabric=fabric,
-    ).apply(config)
+    config = Variants(policy=memctrl_policy, fabric=fabric).apply(config)
     system = build_system(config=config, design_point=design_point)
     return run_transfer_experiment_on(
         system,

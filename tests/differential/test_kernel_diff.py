@@ -1,21 +1,19 @@
-"""Property-based differential testing: SoA kernel == object kernel.
+"""Property-based differential testing: batched kernel == unbatched kernel.
 
 Hypothesis generates random *programs* -- a mapping geometry, a scheduler
 policy, queue depths/watermarks, and a timed stream of read/write accesses
 with tenant labels -- and each program is executed twice on identical bare
-controllers, once per service kernel.  The outcomes must be **exactly**
+controllers: once with the service kernel's event-free drain batching on
+(the default) and once with ``batching=False``, the seed's
+one-event-per-request reference path.  The outcomes must be **exactly**
 equal: per-request admission order, issue/completion times (float equality,
-not approx -- the kernels are bit-identical by construction), row states,
-the full stats snapshot (including per-tenant breakdowns) and the engine's
-event count.
+not approx), row states, the full stats snapshot (including per-tenant
+breakdowns) and the final clock.  The engine's event count is not compared:
+eliding service events is what batching is for.
 
 A failing program prints as a JSON object; paste it into
 ``tests/differential/corpus.jsonl`` to pin it as a permanent regression
 case (the corpus test replays every line).
-
-A second, system-level differential asserts that columnar burst admission
-(:meth:`PimSystem.submit_burst`) is event-identical to the scalar
-:meth:`PimSystem.submit` loop under both kernels.
 
 Budgets/seeds are configured in ``conftest.py`` (profiles ``tier1`` / ``ci``
 / ``weekly`` via ``REPRO_HYPOTHESIS_PROFILE``; CI passes a fixed
@@ -25,7 +23,6 @@ Budgets/seeds are configured in ``conftest.py`` (profiles ``tier1`` / ``ci``
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -38,10 +35,9 @@ from hypothesis.errors import InvalidArgument
 
 from repro.dram.channel import DdrChannel
 from repro.mapping.locality import locality_centric_mapping
-from repro.memctrl.burst import RequestBurst
 from repro.memctrl.controller import ChannelController
 from repro.memctrl.request import MemoryRequest
-from repro.sim.config import MemCtrlConfig, MemoryDomainConfig, SystemConfig
+from repro.sim.config import MemCtrlConfig, MemoryDomainConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.stats import StatsRegistry
 
@@ -69,7 +65,7 @@ TENANTS = (None, "a", "b")
 
 #: Gaps in nanoseconds.  0 packs the queues; fractional values exercise the
 #: float->tick conversion; 9000 crosses the tREFI refresh deadline (7800 ns
-#: for DDR4-2400), exercising the kernels' refresh-delegation path.
+#: for DDR4-2400), exercising the kernel's refresh-delegation path.
 GAPS = (0.0, 0.0, 0.0, 0.5, 1.0, 2.5, 10.0, 40.0, 9000.0)
 
 HORIZONS = (None, 30.0, 200.0, 1500.0)
@@ -142,7 +138,7 @@ def programs(draw) -> Program:
     )
 
 
-def run_program(kernel: str, program: Program) -> dict:
+def run_program(batching: bool, program: Program) -> dict:
     """Execute ``program`` on a bare controller; return the full outcome."""
     ranks, bankgroups, banks, rows, row_bytes = program.geometry
     geometry = MemoryDomainConfig(
@@ -160,12 +156,12 @@ def run_program(kernel: str, program: Program) -> dict:
         write_high_watermark=program.high_watermark,
         write_low_watermark=program.low_watermark,
         policy=program.policy,
-        kernel=kernel,
     )
     engine = SimulationEngine()
     stats = StatsRegistry()
     controller = ChannelController(
-        engine, DdrChannel(geometry, 0), memctrl, stats, name="diff/ch0"
+        engine, DdrChannel(geometry, 0), memctrl, stats, name="diff/ch0",
+        batching=batching,
     )
     mapping = locality_centric_mapping(geometry)
     capacity = geometry.channel_capacity_bytes
@@ -202,27 +198,26 @@ def run_program(kernel: str, program: Program) -> dict:
             for request in requests
         ],
         "stats": stats.snapshot(),
-        "events_fired": engine.events_fired,
         "now": engine.now,
     }
 
 
-def assert_kernels_agree(program: Program) -> None:
+def assert_batching_agrees(program: Program) -> None:
     try:
         note(f"program: {program.to_json()}")
     except InvalidArgument:
         pass  # corpus replay runs outside a Hypothesis build context
-    baseline = run_program("object", program)
-    candidate = run_program("soa", program)
-    assert candidate == baseline, (
-        "soa kernel diverged from object kernel on program "
+    reference = run_program(False, program)
+    candidate = run_program(True, program)
+    assert candidate == reference, (
+        "batched kernel diverged from the unbatched reference on program "
         f"(add to corpus.jsonl): {program.to_json()}"
     )
 
 
 @given(programs())
-def test_soa_matches_object(program: Program) -> None:
-    assert_kernels_agree(program)
+def test_batched_matches_unbatched(program: Program) -> None:
+    assert_batching_agrees(program)
 
 
 def _corpus() -> List[Program]:
@@ -240,111 +235,4 @@ def _corpus() -> List[Program]:
 )
 def test_corpus_cases(program: Program) -> None:
     """Replay the committed corpus of previously-interesting programs."""
-    assert_kernels_agree(program)
-
-
-# --------------------------------------------------------------------------
-# System-level differential: columnar burst admission == scalar submit loop.
-# --------------------------------------------------------------------------
-class _Feeder:
-    """Minimal park-and-retry traffic driver (the LLM driver's idiom)."""
-
-    def __init__(self, system, lines, use_bursts: bool, chunk: int = 16) -> None:
-        self.system = system
-        self.pending = deque(lines)
-        self.use_bursts = use_bursts
-        self.chunk = chunk
-        self.requests: List[MemoryRequest] = []
-        self.parked: Optional[MemoryRequest] = None
-
-    def _on_retry_slot(self) -> None:
-        request, self.parked = self.parked, None
-        if self.system.submit(request):
-            self.requests.append(request)
-            self.pending.popleft()
-            self.pump()
-        else:
-            self.parked = request
-            self.system.retry_when_possible(request, self._on_retry_slot)
-
-    def pump(self) -> None:
-        system = self.system
-        while self.pending and self.parked is None:
-            if self.use_bursts and len(self.pending) >= 4:
-                size = min(self.chunk, len(self.pending))
-                rows = [self.pending[i] for i in range(size)]
-                burst = RequestBurst(
-                    phys_addrs=[row[0] for row in rows],
-                    is_write=[row[1] for row in rows],
-                    tenants=[row[2] for row in rows],
-                )
-                accepted, requests = system.submit_burst(burst)
-                self.requests.extend(requests[:accepted])
-                for _ in range(accepted):
-                    self.pending.popleft()
-                if accepted < size:
-                    self.parked = requests[accepted]
-                    system.retry_when_possible(self.parked, self._on_retry_slot)
-                    return
-            else:
-                phys, is_write, tenant = self.pending[0]
-                request = MemoryRequest(
-                    phys_addr=phys, is_write=is_write, tenant=tenant
-                )
-                if system.submit(request):
-                    self.requests.append(request)
-                    self.pending.popleft()
-                else:
-                    self.parked = request
-                    system.retry_when_possible(request, self._on_retry_slot)
-                    return
-
-
-def _run_feeder(kernel: str, use_bursts: bool, seed: int) -> dict:
-    import random
-
-    from dataclasses import replace
-
-    from repro.system import build_system
-
-    config = SystemConfig.small_test()
-    config = replace(config, memctrl=replace(config.memctrl, kernel=kernel))
-    system = build_system(config=config)
-    rng = random.Random(seed)
-    capacity = system.mapper.partition.pim_base  # stay in the DRAM domain
-    lines = []
-    for index in range(600):
-        base = rng.randrange(0, capacity // 64)
-        for _ in range(rng.randrange(1, 4)):  # short same-row runs
-            lines.append(
-                (
-                    (base * 64 + rng.randrange(0, 4) * 64) % capacity,
-                    rng.random() < 0.4,
-                    rng.choice(TENANTS),
-                )
-            )
-    feeder = _Feeder(system, lines, use_bursts)
-    feeder.pump()
-    system.run()
-    assert system.is_memory_idle()
-    return {
-        "completions": [
-            (request.phys_addr, request.issue_ns, request.completion_ns)
-            for request in feeder.requests
-        ],
-        "stats": system.stats.snapshot(),
-        "events_fired": system.engine.events_fired,
-    }
-
-
-@pytest.mark.parametrize("kernel", ["object", "soa"])
-def test_burst_admission_matches_scalar(kernel: str) -> None:
-    scalar = _run_feeder(kernel, use_bursts=False, seed=11)
-    burst = _run_feeder(kernel, use_bursts=True, seed=11)
-    assert burst == scalar
-
-
-def test_burst_admission_matches_across_kernels() -> None:
-    a = _run_feeder("object", use_bursts=True, seed=23)
-    b = _run_feeder("soa", use_bursts=True, seed=23)
-    assert a == b
+    assert_batching_agrees(program)

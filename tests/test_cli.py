@@ -323,30 +323,29 @@ def test_sweep_resume_serves_journal(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# The --compare-kernels gate (deterministic: run_bench is stubbed)
+# The --compare-fabric gate (deterministic: run_bench is stubbed)
 # ---------------------------------------------------------------------------
 
+#: The two configurations ``--compare-fabric`` measures, in pairing order.
+_FABRIC_LABELS = ("default", "fabric-none")
 
-def _stub_paired_bench(monkeypatch, walls, events=None, axis="kernel"):
+
+def _stub_paired_bench(monkeypatch, walls, events=None):
     """Replace ``run_bench`` with a scripted fake.
 
-    ``walls`` maps variant label -- the kernel name for ``--compare-kernels``
-    (``axis="kernel"``), the pump name for ``--compare-pumps``
-    (``axis="pump"``) -- to the wall-clock each successive call should
-    report (popped front-to-back); ``events`` optionally overrides the event
-    count per variant.  Returns the list of variants in call order, so tests
-    can assert the measurement really is paired (baseline/optimized
-    alternating) rather than phase-separated.
+    ``walls`` maps each ``--compare-fabric`` label to the wall-clock its
+    successive calls should report (popped front-to-back); ``events``
+    optionally overrides the event count per label.  Calls are attributed
+    to the labels in pairing order.  Returns the list of labels in call
+    order, so tests can assert the measurement really is paired (the two
+    configurations alternating) rather than phase-separated.
     """
     import repro.exp.bench as bench_mod
 
     calls = []
 
-    def fake_run_bench(
-        quick=False, names=None, repeats=None, kernel="object",
-        transfer_pump="object", fabric="none",
-    ):
-        label = kernel if axis == "kernel" else transfer_pump
+    def fake_run_bench(quick=False, names=None, repeats=None, fabric="none"):
+        label = _FABRIC_LABELS[len(calls) % 2]
         calls.append(label)
         wall = walls[label].pop(0)
         count = (events or {}).get(label, 1000)
@@ -359,8 +358,6 @@ def _stub_paired_bench(monkeypatch, walls, events=None, axis="kernel"):
         return {
             "quick": quick,
             "repeats": repeats,
-            "kernel": kernel,
-            "transfer_pump": transfer_pump,
             "fabric": fabric,
             "workloads": {"w": metrics},
             "aggregate": {
@@ -374,108 +371,40 @@ def _stub_paired_bench(monkeypatch, walls, events=None, axis="kernel"):
     return calls
 
 
-def test_compare_kernels_paired_rounds_pass(monkeypatch, capsys):
+def test_compare_fabric_paired_rounds_pass(monkeypatch, capsys):
     calls = _stub_paired_bench(
         monkeypatch,
-        walls={"object": [1.0, 1.1, 1.2], "soa": [0.9, 1.0, 1.1]},
+        walls={"default": [1.0, 1.1, 1.2], "fabric-none": [1.0, 1.0, 1.1]},
     )
-    assert main(["bench", "--quick", "--compare-kernels", "--no-write"]) == 0
-    # Three paired rounds, kernels alternating inside each round.
-    assert calls == ["object", "soa"] * 3
+    assert main(["bench", "--quick", "--compare-fabric", "--no-write"]) == 0
+    # Three paired rounds, the configurations alternating inside each round.
+    assert calls == list(_FABRIC_LABELS) * 3
     out = capsys.readouterr().out
-    assert "kernel gate: soa beats object" in out
+    assert "fabric gate: fabric=none is within 2% of the default path" in out
     assert "noise relief" not in out
 
 
-def test_compare_kernels_relief_rounds_rescue(monkeypatch, capsys):
-    # SoA loses the first three rounds, then wins in the relief rounds:
-    # fastest-per-workload across all five rounds decides the gate.
+def test_compare_fabric_relief_rounds_rescue(monkeypatch, capsys):
+    # fabric=none loses the first three rounds, then keeps up in the relief
+    # rounds: fastest-per-workload across all five rounds decides the gate.
     calls = _stub_paired_bench(
         monkeypatch,
         walls={
-            "object": [1.0, 1.0, 1.0, 1.0, 1.0],
-            "soa": [1.2, 1.2, 1.2, 0.8, 1.2],
+            "default": [1.0, 1.0, 1.0, 1.0, 1.0],
+            "fabric-none": [1.2, 1.2, 1.2, 1.0, 1.2],
         },
     )
-    assert main(["bench", "--quick", "--compare-kernels", "--no-write"]) == 0
-    assert calls == ["object", "soa"] * 5
+    assert main(["bench", "--quick", "--compare-fabric", "--no-write"]) == 0
+    assert calls == list(_FABRIC_LABELS) * 5
     out = capsys.readouterr().out
     assert "noise relief" in out
-    assert "kernel gate: soa beats object" in out
+    assert "fabric gate: fabric=none is within 2% of the default path" in out
 
 
-def test_compare_kernels_fails_when_soa_stays_slower(monkeypatch, capsys):
+def test_compare_fabric_fails_when_none_stays_slower(monkeypatch, capsys):
     _stub_paired_bench(
         monkeypatch,
-        walls={"object": [1.0] * 5, "soa": [1.3] * 5},
+        walls={"default": [1.0] * 5, "fabric-none": [1.3] * 5},
     )
-    assert main(["bench", "--quick", "--compare-kernels", "--no-write"]) == 1
-    captured = capsys.readouterr()
-    assert "KERNEL GATE" in captured.err
-
-
-def test_compare_kernels_event_mismatch_is_a_correctness_failure(
-    monkeypatch, capsys
-):
-    # A faster SoA run must still fail if the event counts diverge: the
-    # kernels are bit-identical by construction, so a mismatch is a bug.
-    _stub_paired_bench(
-        monkeypatch,
-        walls={"object": [1.0] * 3, "soa": [0.5] * 3},
-        events={"object": 1000, "soa": 999},
-    )
-    assert main(["bench", "--quick", "--compare-kernels", "--no-write"]) == 1
-    captured = capsys.readouterr()
-    assert "KERNEL MISMATCH" in captured.err
-
-
-def test_compare_kernels_rejects_check_combination(capsys):
-    assert main(["bench", "--compare-kernels", "--check", "--no-write"]) == 2
-    assert "their own gates" in capsys.readouterr().err
-
-
-def test_compare_pumps_paired_rounds_pass(monkeypatch, capsys):
-    calls = _stub_paired_bench(
-        monkeypatch,
-        walls={"object": [1.0, 1.1, 1.2], "burst": [0.9, 1.0, 1.1]},
-        axis="pump",
-    )
-    assert main(["bench", "--quick", "--compare-pumps", "--no-write"]) == 0
-    # Three paired rounds, pumps alternating inside each round.
-    assert calls == ["object", "burst"] * 3
-    out = capsys.readouterr().out
-    assert "pump gate: burst beats object" in out
-    assert "noise relief" not in out
-
-
-def test_compare_pumps_event_mismatch_is_a_correctness_failure(
-    monkeypatch, capsys
-):
-    # The pumps are bit-identical by construction: a faster burst run must
-    # still fail the gate if the event counts diverge.
-    _stub_paired_bench(
-        monkeypatch,
-        walls={"object": [1.0] * 3, "burst": [0.5] * 3},
-        events={"object": 1000, "burst": 999},
-        axis="pump",
-    )
-    assert main(["bench", "--quick", "--compare-pumps", "--no-write"]) == 1
-    captured = capsys.readouterr()
-    assert "PUMP MISMATCH" in captured.err
-
-
-def test_compare_pumps_fails_when_burst_stays_slower(monkeypatch, capsys):
-    _stub_paired_bench(
-        monkeypatch,
-        walls={"object": [1.0] * 5, "burst": [1.3] * 5},
-        axis="pump",
-    )
-    assert main(["bench", "--quick", "--compare-pumps", "--no-write"]) == 1
-    assert "PUMP GATE" in capsys.readouterr().err
-
-
-def test_compare_axes_are_mutually_exclusive(capsys):
-    assert main(
-        ["bench", "--compare-kernels", "--compare-pumps", "--no-write"]
-    ) == 2
-    assert "one axis at a time" in capsys.readouterr().err
+    assert main(["bench", "--quick", "--compare-fabric", "--no-write"]) == 1
+    assert "FABRIC GATE" in capsys.readouterr().err

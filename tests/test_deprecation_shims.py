@@ -50,87 +50,6 @@ class TestBuildSystemShim:
         assert system.design_point is DesignPoint.BASE_DHP
 
 
-class TestSessionVariantKwargShims:
-    """The pre-``Variants`` keyword trio warns but forwards unchanged."""
-
-    def test_legacy_kwargs_warn_and_forward(self, small_config):
-        from repro.registry import Variants
-
-        with pytest.warns(DeprecationWarning, match="variants=Variants"):
-            session = Session.open(
-                config=small_config,
-                memctrl_policy="fcfs",
-                memctrl_kernel="soa",
-                transfer_pump="burst",
-            )
-        with session:
-            assert session.variants == Variants(
-                policy="fcfs", kernel="soa", pump="burst"
-            )
-            assert session.config.memctrl.policy == "fcfs"
-            assert session.config.memctrl.kernel == "soa"
-            assert session.config.memctrl.transfer_pump == "burst"
-
-    def test_variants_bundle_does_not_warn(self, small_config):
-        from repro.registry import Variants
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with Session.open(
-                config=small_config,
-                variants=Variants(kernel="soa", pump="burst"),
-            ) as session:
-                assert session.config.memctrl.kernel == "soa"
-
-    def test_explicit_variants_win_over_legacy_kwargs(self, small_config):
-        from repro.registry import Variants
-
-        with pytest.warns(DeprecationWarning):
-            session = Session.open(
-                config=small_config,
-                variants=Variants(kernel="soa"),
-                memctrl_kernel="object",
-                transfer_pump="burst",
-            )
-        with session:
-            # The typed bundle wins per axis; unset axes fall back to the
-            # forwarded legacy values.
-            assert session.config.memctrl.kernel == "soa"
-            assert session.config.memctrl.transfer_pump == "burst"
-
-    def test_legacy_kwargs_match_variants_results(self, small_config):
-        from repro.registry import Variants
-
-        with pytest.warns(DeprecationWarning):
-            legacy_session = Session.open(
-                config=small_config, memctrl_kernel="soa", transfer_pump="burst"
-            )
-        with legacy_session:
-            legacy = legacy_session.transfer(total_bytes=64 * KIB)
-        with Session.open(
-            config=small_config, variants=Variants(kernel="soa", pump="burst")
-        ) as session:
-            modern = session.transfer(total_bytes=64 * KIB)
-        assert legacy.duration_ns == modern.duration_ns
-        assert legacy.requests == modern.requests
-        assert legacy.stats == modern.stats
-
-    def test_builder_axis_methods_do_not_warn(self, small_config):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            session = (
-                Session.builder()
-                .config(small_config)
-                .kernel("soa")
-                .pump("burst")
-                .fabric("none")
-                .open()
-            )
-            with session:
-                assert session.config.memctrl.kernel == "soa"
-                assert session.config.memctrl.fabric == "none"
-
-
 class TestPimMmuRuntimeShim:
     def test_runtime_construction_warns(self, small_config):
         from repro.core import PimMmuRuntime

@@ -44,10 +44,10 @@ class _StubSystem:
         self.refuse = False
         self.parked = []
 
-    def _fabric_deliver(self, request, bank_key, row):
+    def _fabric_deliver(self, request):
         if self.refuse:
             return False
-        self.delivered.append((request, bank_key, row))
+        self.delivered.append(request)
         return True
 
     def _fabric_park_delivery(self, request, callback):
@@ -152,10 +152,10 @@ class TestMeshTraffic:
         system = _StubSystem(engine, stats, dram_channels=2, pim_channels=2)
         mesh = MeshTopology(system, width=3, height=3, hop_latency_ns=2.0)
         request = _request(channel=1, domain="dram")  # (2,0): two hops
-        assert mesh.inject(request, bank_key="bk", row=7)
+        assert mesh.inject(request)
         assert not mesh.is_idle()
         engine.run()
-        assert system.delivered == [(request, "bk", 7)]
+        assert system.delivered == [request]
         assert request.fabric_hops == 2
         assert request.fabric_wait_ns == 0.0  # uncontended: pure hop latency
         assert request.arrival_ns == 0.0  # re-stamped to injection time
@@ -199,7 +199,7 @@ class TestMeshTraffic:
 
         mesh.add_slot_listener(second, retry)
         engine.run()
-        assert [r for r, _, _ in system.delivered] == [first, second]
+        assert system.delivered == [first, second]
         # Pre-injection parked time is not fabric queueing: the retry wins a
         # credit the moment the first flit moves on (one hop, 2 ns), and the
         # wait clock starts only at that successful injection.
@@ -222,7 +222,7 @@ class TestMeshTraffic:
         assert not mesh.is_idle()
         system.refuse = False
         system.parked.pop()()  # the controller drains a slot
-        assert [r for r, _, _ in system.delivered] == [request]
+        assert system.delivered == [request]
         assert mesh.is_idle()
         mesh.check_invariants()
 
@@ -234,7 +234,7 @@ class TestMeshTraffic:
         mesh._endpoint[("dram", 0)] = mesh.ingress_coord(0)
         request = _request(channel=0, domain="dram")
         assert mesh.inject(request)
-        assert [r for r, _, _ in system.delivered] == [request]
+        assert system.delivered == [request]
         assert request.fabric_hops == 0
         fired = []
         mesh.add_slot_listener(_request(channel=0, domain="dram"), lambda: fired.append(1))

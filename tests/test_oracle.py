@@ -1,9 +1,10 @@
-"""Golden single-bank timing tests: both kernels vs the pure-Python oracle.
+"""Golden single-bank timing tests: the service kernel vs the pure-Python oracle.
 
 ``tests/oracle.py`` is an independent transcription of the DDR4 open-page
 state machine.  These tests drive single-bank programs through a real
-:class:`ChannelController` under **both** service kernels (``object`` and
-``soa``) and assert, with exact float equality, that the simulator's
+:class:`ChannelController` with the service kernel's batching both on and
+off (``batching=False`` is the one-event-per-request reference path) and
+assert, with exact float equality, that the simulator's
 issue/completion times match the oracle's predictions -- and pin the
 row-hit / row-miss (closed) / row-conflict latencies of the Table I
 DDR4-2400 configuration as explicit cycle counts.
@@ -29,8 +30,6 @@ from repro.sim.config import MemCtrlConfig, MemoryDomainConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.stats import StatsRegistry
 
-KERNELS = ("object", "soa")
-
 GEOMETRY = MemoryDomainConfig.paper_dram()  # Table I: DDR4-2400
 TIMING = DerivedTiming.from_config(GEOMETRY.timing)
 
@@ -39,17 +38,18 @@ def _ns(cycles: float) -> float:
     return GEOMETRY.timing.ns(cycles)
 
 
-def _run_single_bank(kernel, accesses, late_arrivals=()):
+def _run_single_bank(batching, accesses, late_arrivals=()):
     """Drive ``accesses`` (row, column, is_write) at bank 0 through a controller.
 
     ``late_arrivals`` adds (time_ns, row, column, is_write) requests enqueued
     mid-run via engine callbacks.  Returns the requests in enqueue order.
     """
-    memctrl = MemCtrlConfig(policy="fcfs", kernel=kernel)
+    memctrl = MemCtrlConfig(policy="fcfs")
     engine = SimulationEngine()
     stats = StatsRegistry()
     controller = ChannelController(
-        engine, DdrChannel(GEOMETRY, 0), memctrl, stats, name="oracle/ch0"
+        engine, DdrChannel(GEOMETRY, 0), memctrl, stats, name="oracle/ch0",
+        batching=batching,
     )
     mapping = locality_centric_mapping(GEOMETRY)
     columns = GEOMETRY.columns_per_row
@@ -87,21 +87,21 @@ def _assert_matches_oracle(requests, steps):
         assert request.completion_ns == step.data_end
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("batching", [True, False], ids=["batched", "unbatched"])
 class TestGoldenLatencies:
-    def test_closed_row_read(self, kernel):
+    def test_closed_row_read(self, batching):
         """Row miss (closed bank): ACT at 0, CAS at tRCD, data ends tCL+tBL on."""
-        (request,) = _run_single_bank(kernel, [(0, 0, False)])
+        (request,) = _run_single_bank(batching, [(0, 0, False)])
         assert request.row_state == "closed"
         assert request.issue_ns == pytest.approx(_ns(16))  # tRCD = 16 cycles
         assert request.completion_ns == pytest.approx(_ns(16 + 16 + 4))
         steps = SingleBankOracle(TIMING).run([(0, False)])
         _assert_matches_oracle([request], steps)
 
-    def test_row_hit_stream(self, kernel):
+    def test_row_hit_stream(self, batching):
         """Hits stream at the same-bank-group CAS-to-CAS spacing (tCCD_L)."""
         accesses = [(0, col, False) for col in range(4)]
-        requests = _run_single_bank(kernel, accesses)
+        requests = _run_single_bank(batching, accesses)
         assert [r.row_state for r in requests] == [
             "closed", "hit", "hit", "hit"
         ]
@@ -110,9 +110,9 @@ class TestGoldenLatencies:
         steps = SingleBankOracle(TIMING).run([(0, False)] * 4)
         _assert_matches_oracle(requests, steps)
 
-    def test_row_conflict(self, kernel):
+    def test_row_conflict(self, batching):
         """Conflict: PRE waits for tRTP after the read, then tRP + tRCD."""
-        requests = _run_single_bank(kernel, [(0, 0, False), (1, 0, False)])
+        requests = _run_single_bank(batching, [(0, 0, False), (1, 0, False)])
         assert [r.row_state for r in requests] == ["closed", "conflict"]
         # The PRE chain (tRTP + tRP + tRCD = 41 cycles) is NOT the bound here:
         # the same-bank ACT-to-ACT spacing tRC (55 cycles) gates the second
@@ -124,9 +124,9 @@ class TestGoldenLatencies:
         steps = SingleBankOracle(TIMING).run([(0, False), (1, False)])
         _assert_matches_oracle(requests, steps)
 
-    def test_read_write_turnaround(self, kernel):
+    def test_read_write_turnaround(self, batching):
         """Read->write on one row: the bus and tRTW gate the write CAS."""
-        requests = _run_single_bank(kernel, [(0, 0, False), (0, 1, True)])
+        requests = _run_single_bank(batching, [(0, 0, False), (0, 1, True)])
         assert [r.row_state for r in requests] == ["closed", "hit"]
         # Write CAS = read data-start bound: max(CAS0+tRTW, bus_free-tCWL)
         # = (tRCD + tCL + tBL) - tCWL = (16+16+4) - 12 = 24 cycles.
@@ -134,10 +134,10 @@ class TestGoldenLatencies:
         steps = SingleBankOracle(TIMING).run([(0, False), (0, True)])
         _assert_matches_oracle(requests, steps)
 
-    def test_write_read_turnaround(self, kernel):
+    def test_write_read_turnaround(self, batching):
         """Write->read (late read arrival): tWTR_L from the write data end."""
         requests = _run_single_bank(
-            kernel,
+            batching,
             [(0, 0, False), (0, 1, True)],
             late_arrivals=[(_ns(30), 0, 2, False)],
         )
@@ -150,26 +150,15 @@ class TestGoldenLatencies:
         late = oracle.access(0, False, max(_ns(30), steps[-1].cas_time))
         _assert_matches_oracle(requests, steps + [late])
 
-    def test_mixed_program_matches_oracle(self, kernel):
+    def test_mixed_program_matches_oracle(self, batching):
         """A longer pseudo-random single-bank program matches step for step."""
         rows = [0, 0, 3, 3, 3, 1, 0, 2, 2, 0, 5, 5]
         reads = [(row, i % 8, False) for i, row in enumerate(rows)]
         writes = [(row, (i + 3) % 8, True) for i, row in enumerate(rows[:6])]
-        requests = _run_single_bank(kernel, reads + writes)
+        requests = _run_single_bank(batching, reads + writes)
         # fcfs + read-queue priority: service order == enqueue order here.
         program = [(row, False) for row, _, _ in reads] + [
             (row, True) for row, _, _ in writes
         ]
         steps = SingleBankOracle(TIMING).run(program)
         _assert_matches_oracle(requests, steps)
-
-
-def test_kernels_agree_exactly():
-    """Belt and braces: both kernels produce identical times on one program."""
-    accesses = [(r, c, w) for r in (0, 1) for c in (0, 1) for w in (False, True)]
-    a = _run_single_bank("object", accesses)
-    b = _run_single_bank("soa", accesses)
-    for x, y in zip(a, b):
-        assert (x.row_state, x.issue_ns, x.completion_ns) == (
-            y.row_state, y.issue_ns, y.completion_ns
-        )

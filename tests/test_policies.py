@@ -175,11 +175,12 @@ class TestPolicyBehaviour:
 class TestPolicyKnob:
     def test_session_policy_knob(self):
         from repro.api import Session
+        from repro.registry import Variants
 
         with Session.open(
             config=SystemConfig.small_test(),
             design_point=DesignPoint.BASE_DHP,
-            memctrl_policy="frfcfs_cap:2",
+            variants=Variants(policy="frfcfs_cap:2"),
         ) as session:
             assert session.config.memctrl.policy == "frfcfs_cap:2"
             result = session.transfer(total_bytes=64 * 1024)
@@ -190,10 +191,12 @@ class TestPolicyKnob:
 
     def test_session_rejects_unknown_policy(self):
         from repro.api import Session
+        from repro.registry import Variants
 
         with pytest.raises(KeyError):
             Session.open(
-                config=SystemConfig.small_test(), memctrl_policy="does-not-exist"
+                config=SystemConfig.small_test(),
+                variants=Variants(policy="does-not-exist"),
             )
 
     def test_builder_policy(self):

@@ -10,7 +10,7 @@ over a long replay, plus ever-slower ``oldest_hit`` scans over dead banks.
 This was investigated as a suspected leak; empirically ``remove()`` already
 evicts (max dead buckets observed over 50k requests: zero).  This test pins
 that behaviour: it replays 50k random-address requests through a real
-controller under each service kernel and asserts, at sampled completion
+controller and asserts, at sampled completion
 points, that the index carries no empty buckets and exactly one entry per
 pending request, that every hit head is a pending request on a bank with
 pending work and no dirty set outgrows the channel's bank count -- and that
@@ -27,7 +27,6 @@ from __future__ import annotations
 import random
 from functools import partial
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.dram.channel import DdrChannel
@@ -77,12 +76,10 @@ def _check_watchers(channel, geometry):
         assert len(dirty) <= geometry.banks_per_channel
 
 
-@pytest.mark.parametrize("kernel", ["object", "soa"])
-def test_index_stays_bounded_over_50k_replay(kernel):
+def test_index_stays_bounded_over_50k_replay():
     geometry = MemoryDomainConfig.paper_dram()
     memctrl = MemCtrlConfig(
         policy="frfcfs",
-        kernel=kernel,
         read_queue_depth=64,
         write_queue_depth=64,
         write_high_watermark=48,

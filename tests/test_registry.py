@@ -1,11 +1,10 @@
 """Units for the generic variant registry and the typed ``Variants`` bundle.
 
-The tentpole satellite: :class:`repro.registry.VariantRegistry` is the one
-implementation behind all five variant axes (scheduler policies, DRAM
-service kernels, transfer pumps, transfer backends, fabrics), and
+:class:`repro.registry.VariantRegistry` is the one implementation behind
+every variant axis (scheduler policies, transfer backends, fabrics), and
 :class:`repro.registry.Variants` is the typed bundle every spec/session
 accepts.  These tests cover the registry mechanics in isolation plus the
-wiring of the five concrete registries onto it.
+wiring of the concrete registries onto it.
 """
 
 from __future__ import annotations
@@ -122,7 +121,7 @@ class TestParseTypedKv:
 
 
 class TestConcreteRegistries:
-    """The five axes all run on the same VariantRegistry implementation."""
+    """Every axis runs on the same VariantRegistry implementation."""
 
     def test_policies(self):
         from repro.memctrl.policies import POLICIES
@@ -132,22 +131,6 @@ class TestConcreteRegistries:
         # Historical contract: unknown policies raise KeyError.
         with pytest.raises(KeyError):
             POLICIES.require("nope")
-
-    def test_kernels(self):
-        from repro.memctrl.kernel import KERNELS, kernel_class
-
-        assert tuple(KERNELS.names()) == ("object", "soa")
-        assert kernel_class("object") is not None
-        with pytest.raises(ValueError):
-            kernel_class("nope")
-
-    def test_pumps(self):
-        from repro.memctrl.pump import PUMPS, validate_pump
-
-        assert tuple(PUMPS.names()) == ("object", "burst")
-        assert validate_pump("burst") == "burst"
-        with pytest.raises(ValueError):
-            validate_pump("nope")
 
     def test_backends(self):
         from repro.api.backends import BACKENDS, available_backends
@@ -170,16 +153,16 @@ class TestConcreteRegistries:
 class TestVariants:
     def test_empty(self):
         assert Variants().empty
-        assert not Variants(kernel="soa").empty
+        assert not Variants(fabric="mesh:4x4").empty
+
+    def test_axes_are_policy_and_fabric(self):
+        fields = [field.name for field in dataclasses.fields(Variants)]
+        assert fields == ["policy", "fabric"]
 
     def test_apply_maps_axes_onto_memctrl(self, small_config):
-        variants = Variants(
-            policy="fcfs", kernel="soa", pump="burst", fabric="mesh:4x4"
-        )
+        variants = Variants(policy="fcfs", fabric="mesh:4x4")
         config = variants.apply(small_config)
         assert config.memctrl.policy == "fcfs"
-        assert config.memctrl.kernel == "soa"
-        assert config.memctrl.transfer_pump == "burst"
         assert config.memctrl.fabric == "mesh:4x4"
         # None axes leave the config untouched.
         untouched = Variants().apply(small_config)
@@ -190,38 +173,26 @@ class TestVariants:
             Variants(fabric="mesh").apply(small_config)  # grid size missing
         with pytest.raises(KeyError):
             Variants(policy="nope").apply(small_config)
-        with pytest.raises(ValueError):
-            Variants(kernel="nope").apply(small_config)
-        with pytest.raises(ValueError):
-            Variants(pump="nope").apply(small_config)
 
     def test_merged_over(self):
-        base = Variants(policy="fcfs", kernel="object")
-        override = Variants(kernel="soa", fabric="mesh:4x4")
+        base = Variants(policy="fcfs", fabric="none")
+        override = Variants(fabric="mesh:4x4")
         merged = override.merged_over(base)
-        assert merged == Variants(
-            policy="fcfs", kernel="soa", pump=None, fabric="mesh:4x4"
-        )
+        assert merged == Variants(policy="fcfs", fabric="mesh:4x4")
         assert override.merged_over(None) == override
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            Variants().kernel = "soa"
+            Variants().policy = "fcfs"
 
     def test_every_listed_variant_round_trips(self):
         """Acceptance: every axis value `repro variants` lists validates."""
         from repro.api.backends import BACKENDS
         from repro.fabric import FABRICS
-        from repro.memctrl.kernel import KERNELS
         from repro.memctrl.policies import POLICIES
-        from repro.memctrl.pump import PUMPS
 
         for name in POLICIES.names():
             Variants(policy=name).validate()
-        for name in KERNELS.names():
-            Variants(kernel=name).validate()
-        for name in PUMPS.names():
-            Variants(pump=name).validate()
         for name in BACKENDS.names():
             BACKENDS.require(name)
         for name in FABRICS.names():
@@ -230,27 +201,14 @@ class TestVariants:
 
 
 class TestVariantsCli:
-    def test_variants_lists_all_five_axes(self, capsys):
+    def test_variants_lists_every_axis(self, capsys):
         from repro.exp.cli import main
 
         assert main(["variants"]) == 0
         out = capsys.readouterr().out
         for title in (
             "Registered memory-scheduler policies",
-            "Registered DRAM service kernels (--kernel)",
-            "Registered transfer pumps (--transfer-pump)",
             "Registered transfer backends",
             "Registered interconnect fabrics (--fabric)",
         ):
             assert title in out
-
-    def test_policies_alias_output_unchanged(self, capsys):
-        """`repro policies` stays byte-identical to the axis subset."""
-        from repro.exp.cli import _policy_axis_tables, main
-
-        assert main(["policies"]) == 0
-        out = capsys.readouterr().out
-        assert out == "\n\n".join(_policy_axis_tables()) + "\n"
-        assert main(["variants"]) == 0
-        variants_out = capsys.readouterr().out
-        assert variants_out.startswith(out[:-1])

@@ -19,7 +19,7 @@ from repro.scenarios import (
     run_scenario,
     select_scenarios,
 )
-from repro.sim.config import DesignPoint, SystemConfig
+from repro.sim.config import DesignPoint
 from repro.transfer.descriptor import TransferDirection
 
 KIB = 1024
