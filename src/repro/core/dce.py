@@ -29,6 +29,7 @@ from functools import partial
 from typing import TYPE_CHECKING, Callable, Deque, Dict, Iterator, Optional
 
 from repro.core.pim_ms import PimAwareScheduler, ScheduledAccess
+from repro.mapping.system_mapper import DRAM_DOMAIN, PIM_DOMAIN
 from repro.memctrl.request import MemoryRequest, RequestStream
 from repro.sim.config import CACHE_LINE_BYTES, DcePolicy
 from repro.transfer.descriptor import TransferDescriptor, TransferDirection
@@ -79,17 +80,17 @@ class DeferredReads:
 
     def retry(
         self,
-        submit: Callable[[object, MemoryRequest], bool],
+        submit: Callable[[object, MemoryRequest, tuple], bool],
         room: int,
         blocked: set,
         full_targets: set,
     ) -> bool:
         """One retry pass; returns ``False`` if it stopped on a full window.
 
-        ``submit(access, request)`` issues one parked read; ``room`` is how
-        many more reads the in-flight window takes.  Targets in ``blocked``
-        or ``full_targets`` are skipped; a target that refuses is added to
-        ``full_targets`` and skipped for the rest of the pass.
+        ``submit(access, request, key)`` issues one parked read; ``room`` is
+        how many more reads the in-flight window takes.  Targets in
+        ``blocked`` or ``full_targets`` are skipped; a target that refuses is
+        added to ``full_targets`` and skipped for the rest of the pass.
         """
         fifos = self._fifos
         heap = [
@@ -106,7 +107,7 @@ class DeferredReads:
             position, key = heapq.heappop(heap)
             fifo = fifos[key]
             entry = fifo[0]
-            if not submit(entry[1], entry[2]):
+            if not submit(entry[1], entry[2], key):
                 full_targets.add(key)
                 continue
             fifo.popleft()
@@ -169,7 +170,11 @@ class DataCopyEngine:
         self._parked_writes: Dict[tuple, Deque[tuple]] = {}
         self._deferred_reads = DeferredReads()
         self._park_seq = 0
+        # Target keys whose full queue holds this engine's wake callback for
+        # that key (bound once per transfer; the callback clears the key and
+        # pumps).
         self._retry_channels: set = set()
+        self._wakes: Dict[tuple, Callable[[], None]] = {}
         self._done = False
         self._finish_ns = 0.0
         self.offsets: Dict[int, int] = {}
@@ -227,6 +232,13 @@ class DataCopyEngine:
         self._deferred_reads.clear()
         self._park_seq = 0
         self._retry_channels.clear()
+        config = system.config
+        self._wakes = {
+            key: partial(self._wake_target, key)
+            for domain, geometry in ((DRAM_DOMAIN, config.dram), (PIM_DOMAIN, config.pim))
+            for channel in range(geometry.channels)
+            for key in ((domain, channel, False), (domain, channel, True))
+        }
         self._done = False
         self._result = None
         self._on_complete = on_complete
@@ -298,6 +310,8 @@ class DataCopyEngine:
         self._descriptor = None
         self._iterator = None
         self._baselines = None
+        # Drop the engine -> callback -> engine cycle with the transfer.
+        self._wakes = {}
         self._result = result
         if self._on_complete is not None:
             self._on_complete(result)
@@ -323,25 +337,28 @@ class DataCopyEngine:
         # Targets observed full during this pass are abandoned immediately;
         # the per-target parking means their other parked entries are never
         # even visited (the seed rotated every parked entry through a deque
-        # on every pass).  A key still awaiting its slot-listener retry is
-        # *provably* full -- any freed slot fires the retry (which clears the
-        # key) before control returns here -- so attempts on it are the
-        # no-ops the seed performed and can be skipped outright.
+        # on every pass).  A key still awaiting its wake is *provably* full
+        # -- any freed slot fires the wake (which clears the key) before
+        # control returns here -- so attempts on it are the no-ops the seed
+        # performed and can be skipped outright.  Every submit below is
+        # therefore to a key without a parked wake, and passes one.
         retry_channels = self._retry_channels
         full_targets: set = set()
         # 1. Drain data-buffer entries whose write can now be enqueued, in
         # global park order across targets (min-heap over per-target heads).
         parked_writes = self._parked_writes
         if parked_writes and not retry_channels.issuperset(parked_writes):
-            heap = [(dq[0][0], key) for key, dq in parked_writes.items()]
+            heap = [
+                (dq[0][0], key)
+                for key, dq in parked_writes.items()
+                if key not in retry_channels
+            ]
             heapq.heapify(heap)
             while heap:
                 _, key = heapq.heappop(heap)
-                if key in retry_channels or key in full_targets:
-                    continue
                 dq = parked_writes[key]
                 entry = dq[0]
-                if self._submit_write(entry[1], request=entry[2]):
+                if self._submit_write(entry[1], entry[2], key):
                     dq.popleft()
                     if dq:
                         heapq.heappush(heap, (dq[0][0], key))
@@ -373,8 +390,8 @@ class DataCopyEngine:
             if key in retry_channels or key in full_targets:
                 deferred.append(key, access, request)
                 continue
-            if not system.submit(request):
-                self._register_retry(request, key)
+            if not system.submit(request, self._wakes[key]):
+                retry_channels.add(key)
                 full_targets.add(key)
                 deferred.append(key, access, request)
                 continue
@@ -426,28 +443,19 @@ class DataCopyEngine:
         return (request.domain, request.dram_addr.channel, request.is_write)
 
     def _submit_read(
-        self, access: ScheduledAccess, request: Optional[MemoryRequest] = None
+        self, access: ScheduledAccess, request: MemoryRequest, key: tuple
     ) -> bool:
-        """Try to issue the read of ``access`` (reusing a parked request)."""
-        if request is None:
-            request = self._build_request(access, is_write=False)
-        if not self.system.submit(request):
-            self._register_retry(request, self._target_key(request))
+        """Try to issue the parked read of ``access`` to target ``key``."""
+        if not self.system.submit(request, self._wakes[key]):
+            self._retry_channels.add(key)
             return False
         self._in_flight += 1
         return True
 
-    def _register_retry(self, request: MemoryRequest, key: tuple) -> None:
-        """Ask for a wake-up when the full queue that rejected ``request`` drains."""
-        if key in self._retry_channels:
-            return
-        self._retry_channels.add(key)
-
-        def retry() -> None:
-            self._retry_channels.discard(key)
-            self._pump()
-
-        self.system.retry_when_possible(request, retry)
+    def _wake_target(self, key: tuple) -> None:
+        """The full queue of target ``key`` freed a slot: retry its work."""
+        self._retry_channels.discard(key)
+        self._pump()
 
     def _read_completed(self, access: ScheduledAccess, request: MemoryRequest) -> None:
         # Step 5: the preprocessing unit transposes the line on the fly.
@@ -461,22 +469,20 @@ class DataCopyEngine:
         request = self._build_request(access, is_write=True)
         key = self._target_key(request)
         if key in self._retry_channels:
-            # The target queue is provably still full (its retry listener has
-            # not fired); park straight away instead of a doomed submit.
+            # The target queue is provably still full (its wake has not
+            # fired); park straight away instead of a doomed submit.
             self._park_write(key, access, request)
-        elif self._submit_write(access, request=request):
+        elif self._submit_write(access, request, key):
             self._pump()
         else:
             self._park_write(key, access, request)
 
     def _submit_write(
-        self, access: ScheduledAccess, request: Optional[MemoryRequest] = None
+        self, access: ScheduledAccess, request: MemoryRequest, key: tuple
     ) -> bool:
-        """Try to issue the write of ``access`` (reusing a parked request)."""
-        if request is None:
-            request = self._build_request(access, is_write=True)
-        if not self.system.submit(request):
-            self._register_retry(request, self._target_key(request))
+        """Try to issue the write of ``access`` to target ``key``."""
+        if not self.system.submit(request, self._wakes[key]):
+            self._retry_channels.add(key)
             return False
         # The chunk has left the data buffer for the controller's write queue
         # (step 7 of Figure 11): its data-buffer slot frees immediately --
@@ -501,8 +507,8 @@ class DataCopyEngine:
             self.system.engine.schedule_at(end_ns, self._finalize)
         # A completed *write* changes no pump-gating state: the data-buffer
         # slot freed when the write was submitted (writes are posted), and
-        # every blocked target key holds a slot-listener retry that pumps the
-        # moment its queue frees.  The seed pumped here anyway; every attempt
+        # every blocked target key holds a parked wake that pumps the moment
+        # its queue frees.  The seed pumped here anyway; every attempt
         # in that pump provably failed, so it is elided.
 
 

@@ -1,11 +1,13 @@
 """Hot-path performance benchmark (``repro bench``).
 
 Runs a **fixed workload matrix** over the simulation core and reports, per
-workload, the wall-clock time, the number of simulation events fired and the
-events/sec rate.  The matrix is deliberately frozen so numbers are comparable
-across commits: the committed ``BENCH_hotpath.json`` accumulates one entry per
-measured revision and gives the repo a performance trajectory (see
-``docs/performance.md`` for how to read it).
+workload, the wall-clock time, the CPU time of this process
+(``time.process_time``, which a busy neighbour on a shared host does not
+inflate the way it inflates wall time), the number of simulation events
+fired and the events/sec rate.  The matrix is deliberately frozen so numbers
+are comparable across commits: the committed ``BENCH_hotpath.json``
+accumulates one entry per measured revision and gives the repo a performance
+trajectory (see ``docs/performance.md`` for how to read it).
 
 Workloads
 ---------
@@ -33,7 +35,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.config import DesignPoint, MemCtrlConfig, SystemConfig
 from repro.transfer.descriptor import TransferDirection
@@ -60,6 +62,8 @@ class BenchResult:
     wall_s: float
     events: int
     requests: int
+    #: CPU seconds of this process over the same timed span as ``wall_s``.
+    process_s: float = 0.0
 
     @property
     def events_per_sec(self) -> float:
@@ -72,11 +76,19 @@ class BenchResult:
     def to_dict(self) -> Dict[str, float]:
         return {
             "wall_s": round(self.wall_s, 4),
+            "process_s": round(self.process_s, 4),
             "events": self.events,
             "events_per_sec": round(self.events_per_sec, 1),
             "requests": self.requests,
             "requests_per_sec": round(self.requests_per_sec, 1),
         }
+
+
+def _timed(run: Callable[[], object]) -> Tuple[float, float]:
+    """Wall and process-CPU seconds that ``run()`` takes."""
+    wall, process = time.perf_counter(), time.process_time()
+    run()
+    return time.perf_counter() - wall, time.process_time() - process
 
 
 def _paper_config(fabric: str) -> SystemConfig:
@@ -138,17 +150,19 @@ def _bench_transfer_sweep(quick: bool, fabric: str = "none") -> BenchResult:
         total_bytes, cap = 1 * MIB, 512 * KIB
     events = 0
     requests = 0
-    wall = 0.0
+    wall = process = 0.0
     for point, direction in cases:
         system = build_system(config=config, design_point=point)
-        started = time.perf_counter()
-        run_transfer_experiment_on(
-            system, direction, total_bytes, sim_cap_bytes=cap
+        case_wall, case_process = _timed(
+            lambda: run_transfer_experiment_on(
+                system, direction, total_bytes, sim_cap_bytes=cap
+            )
         )
-        wall += time.perf_counter() - started
+        wall += case_wall
+        process += case_process
         events += system.engine.events_fired
         requests += _served_requests(system.stats)
-    return BenchResult("headline-sweep", wall, events, requests)
+    return BenchResult("headline-sweep", wall, events, requests, process)
 
 
 def _bench_scenario_mix(quick: bool, fabric: str = "none") -> BenchResult:
@@ -170,19 +184,19 @@ def _bench_scenario_mix(quick: bool, fabric: str = "none") -> BenchResult:
         instrumented.append(system)
         return system
 
-    started = time.perf_counter()
-    run_scenario(
-        config,
-        DesignPoint.BASE_DHP,
-        tenants,
-        name="bench-mix",
-        include_isolated=not quick,
-        system_factory=factory,
+    wall, process = _timed(
+        lambda: run_scenario(
+            config,
+            DesignPoint.BASE_DHP,
+            tenants,
+            name="bench-mix",
+            include_isolated=not quick,
+            system_factory=factory,
+        )
     )
-    wall = time.perf_counter() - started
     events = sum(system.engine.events_fired for system in instrumented)
     requests = sum(_served_requests(system.stats) for system in instrumented)
-    return BenchResult("scenario-mix", wall, events, requests)
+    return BenchResult("scenario-mix", wall, events, requests, process)
 
 
 def _bench_replay_bursty(quick: bool, fabric: str = "none") -> BenchResult:
@@ -194,12 +208,10 @@ def _bench_replay_bursty(quick: bool, fabric: str = "none") -> BenchResult:
     trace = synthesize_trace("bursty", total_bytes=size, mean_gap_ns=4.0)
     system = build_system(config=config, design_point=DesignPoint.BASE_DHP)
     replayer = TraceReplayer(system, trace)
-    started = time.perf_counter()
-    replayer.execute()
-    wall = time.perf_counter() - started
+    wall, process = _timed(replayer.execute)
     return BenchResult(
         "replay-bursty", wall, system.engine.events_fired,
-        _served_requests(system.stats),
+        _served_requests(system.stats), process,
     )
 
 
@@ -234,14 +246,16 @@ def _bench_deep_queue(quick: bool, fabric: str = "none") -> BenchResult:
         request.domain = "dram"
         request.dram_addr = mapping.map(phys)
         requests.append(request)
-    started = time.perf_counter()
-    for request in requests:
-        if not controller.enqueue(request):
-            raise RuntimeError("bench queue unexpectedly full")
-    engine.run()
-    wall = time.perf_counter() - started
+
+    def run() -> None:
+        for request in requests:
+            if not controller.enqueue(request):
+                raise RuntimeError("bench queue unexpectedly full")
+        engine.run()
+
+    wall, process = _timed(run)
     return BenchResult(
-        "deep-queue", wall, engine.events_fired, _served_requests(stats)
+        "deep-queue", wall, engine.events_fired, _served_requests(stats), process
     )
 
 

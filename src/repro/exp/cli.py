@@ -1229,6 +1229,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             columns=[
                 "workload",
                 "wall_s",
+                "process_s",
                 "events",
                 "events_per_sec",
                 "requests_per_sec",

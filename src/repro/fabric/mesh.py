@@ -14,9 +14,9 @@ Flow control is credit-based, one credit pool per directed link: a flit
 on or waits at that link, and the credit returns upstream only when the
 flit moves on (or is delivered into a controller queue).  Backpressure
 therefore propagates hop by hop all the way to the injection port, where
-``inject`` returns ``False`` and the producer parks -- the same
-park-and-retry contract the channel controllers use, so every existing
-engine works against a meshed system unchanged.
+``inject`` returns ``False`` and parks the producer's wake callback on the
+first-hop link -- the same submit-or-park contract the channel controllers
+use, so every engine works against a meshed system unchanged.
 
 Per-link flit/stall counters, hop counters and a queueing-delay histogram
 land in the run's :class:`~repro.sim.stats.StatsRegistry` under
@@ -26,8 +26,7 @@ land in the run's :class:`~repro.sim.stats.StatsRegistry` under
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.fabric.topology import Topology
 from repro.memctrl.request import MemoryRequest
@@ -36,17 +35,29 @@ Coord = Tuple[int, int]
 
 
 class _Flit:
-    """One request crossing the mesh."""
+    """One request crossing the mesh along its precomputed X-Y route.
 
-    __slots__ = ("request", "dest", "coord", "link", "hops", "inject_ns")
+    A flit is its own event callback: called in flight it completes a hop,
+    called at its endpoint (a refused delivery parked it there) it retries
+    delivery.  So moving a request allocates nothing beyond the flit.
+    """
 
-    def __init__(self, request, dest, coord, link, inject_ns) -> None:
+    __slots__ = ("mesh", "request", "route", "link", "hops", "inject_ns")
+
+    def __init__(self, mesh, request, route, link, inject_ns) -> None:
+        self.mesh = mesh
         self.request = request
-        self.dest = dest
-        self.coord = coord
+        #: The links of the whole route, first hop first.
+        self.route = route
         self.link = link
         self.hops = 0
         self.inject_ns = inject_ns
+
+    def __call__(self) -> None:
+        if self.hops == len(self.route):
+            self.mesh._try_deliver(self)
+        else:
+            self.mesh._arrive(self)
 
 
 class _Link:
@@ -61,7 +72,7 @@ class _Link:
         self.capacity = capacity
         #: Flits parked at ``src`` waiting for a credit on this link (FIFO).
         self.waiting: deque = deque()
-        #: One-shot injection listeners (producers parked at ``src``).
+        #: One-shot wake callbacks of producers whose injection it refused.
         self.listeners: List[Callable[[], None]] = []
         self.flits = flits
         self.stalls = stalls
@@ -103,7 +114,6 @@ class MeshTopology(Topology):
         self.engine = system.engine
         self.stats = system.stats
         self._deliver = system._fabric_deliver
-        self._park_delivery = system._fabric_park_delivery
 
         # Row-major endpoint placement: ingress nodes first, then DRAM
         # channels, then PIM channels.  Deterministic, so routes (and the
@@ -132,16 +142,14 @@ class MeshTopology(Topology):
                             stats.counter(f"{label}/flits"),
                             stats.counter(f"{label}/stalls"),
                         )
-        # X-Y routes depend only on the grid, so the first link of the route
-        # from every node to every other node is fixed here once; injection
-        # and every hop then cost one lookup.  Keyed by coordinates, so the
-        # endpoint placement is still read on each injection.
-        nodes = [self._coord(index) for index in range(width * height)]
-        self._next_link: Dict[Tuple[Coord, Coord], _Link] = {
-            (node, dest): self._links[(node, self._next_hop(node, dest))]
-            for node in nodes
-            for dest in nodes
-            if node != dest
+        # X-Y routes depend only on the placement, so every (endpoint,
+        # ingress) route is fixed here once as its tuple of links: injection
+        # costs one lookup and each hop one index.  Every endpoint has a node
+        # of its own, so no route is empty.
+        self._num_ingress = num_ingress
+        self._routes: Dict[Tuple[str, int], List[Tuple[_Link, ...]]] = {
+            key: [self._route(src, dest) for src in self._ingress]
+            for key, dest in self._endpoint.items()
         }
         self._injected = stats.counter("fabric/injected")
         self._delivered = stats.counter("fabric/delivered")
@@ -177,6 +185,14 @@ class MeshTopology(Topology):
             return (x, y + 1)
         return (x, y - 1)
 
+    def _route(self, src: Coord, dest: Coord) -> Tuple[_Link, ...]:
+        links = []
+        while src != dest:
+            hop = self._next_hop(src, dest)
+            links.append(self._links[(src, hop)])
+            src = hop
+        return tuple(links)
+
     def planned_hops(self, request: MemoryRequest) -> int:
         return self.hop_distance(
             self.ingress_coord(request.source_id),
@@ -184,57 +200,43 @@ class MeshTopology(Topology):
         )
 
     # ---------------------------------------------------------------- traffic
-    def inject(self, request: MemoryRequest) -> bool:
-        """Consume the first-hop credit and start the request across the mesh."""
-        src = self._ingress[request.source_id % len(self._ingress)]
-        dest = self._endpoint[(request.domain, request.dram_addr.channel)]
-        now = self.engine.now
-        if src == dest:
-            # Degenerate placement (1x1 grids in tests): deliver in place.
-            flit = _Flit(request, dest, src, None, now)
-            self._in_flight += 1
-            self._injected.add(1)
-            self._try_deliver(flit)
-            return True
-        link = self._next_link[(src, dest)]
-        if link.credits == 0:
+    def inject(
+        self, request: MemoryRequest, wake: Optional[Callable[[], None]] = None
+    ) -> bool:
+        """Consume the first-hop credit and start the request across the mesh.
+
+        With no credit left the first-hop link stalls, parks ``wake`` (if
+        given) until a credit returns, and ``False`` is returned.
+        """
+        route = self._routes[(request.domain, request.dram_addr.channel)][
+            request.source_id % self._num_ingress
+        ]
+        link = route[0]
+        if not link.credits:
             link.stalls.value += 1
+            if wake is not None:
+                link.listeners.append(wake)
             return False
         link.credits -= 1
-        link.flits.add(1)
-        flit = _Flit(request, dest, src, link, now)
+        link.flits.value += 1
+        engine = self.engine
+        now = engine._now
+        flit = _Flit(self, request, route, link, now)
         self._in_flight += 1
-        self._injected.add(1)
-        self.engine.schedule_callback(
-            now + self.hop_latency_ns, partial(self._arrive, flit)
-        )
+        self._injected.value += 1
+        engine.schedule_callback(now + self.hop_latency_ns, flit)
         return True
-
-    def add_slot_listener(
-        self, request: MemoryRequest, callback: Callable[[], None]
-    ) -> None:
-        """Park a producer on the request's first-hop link until a credit frees."""
-        src = self._ingress[request.source_id % len(self._ingress)]
-        dest = self._endpoint[(request.domain, request.dram_addr.channel)]
-        if src == dest:
-            # inject() never fails on the degenerate route; fire on the next
-            # engine step so the producer retries in event order.
-            self.engine.schedule_callback(self.engine.now, callback)
-            return
-        self._next_link[(src, dest)].listeners.append(callback)
 
     # ------------------------------------------------------------ flit motion
     def _arrive(self, flit: _Flit) -> None:
-        flit.coord = flit.link.dst
-        flit.hops += 1
-        self._advance(flit)
-
-    def _advance(self, flit: _Flit) -> None:
-        if flit.coord == flit.dest:
+        hops = flit.hops + 1
+        flit.hops = hops
+        route = flit.route
+        if hops == len(route):
             self._try_deliver(flit)
             return
-        next_link = self._next_link[(flit.coord, flit.dest)]
-        if next_link.credits > 0:
+        next_link = route[hops]
+        if next_link.credits:
             self._forward(flit, next_link)
         else:
             # Hold the current buffer slot; the credit-return of next_link
@@ -245,27 +247,23 @@ class MeshTopology(Topology):
 
     def _forward(self, flit: _Flit, next_link: _Link) -> None:
         next_link.credits -= 1
-        next_link.flits.add(1)
+        next_link.flits.value += 1
         released = flit.link
         flit.link = next_link
-        self.engine.schedule_callback(
-            self.engine.now + self.hop_latency_ns, partial(self._arrive, flit)
-        )
-        if released is not None:
-            self._release(released)
+        engine = self.engine
+        engine.schedule_callback(engine._now + self.hop_latency_ns, flit)
+        self._release(released)
 
     def _try_deliver(self, flit: _Flit) -> None:
-        if self._deliver(flit.request):
+        # A full target controller queue parks the flit itself as the wake:
+        # it keeps holding its last buffer slot (backpressure into the mesh)
+        # and retries when the controller drains a slot.
+        if self._deliver(flit.request, flit):
             self._finish(flit)
-        else:
-            # Target controller queue is full: keep holding the last buffer
-            # slot (backpressure into the mesh) and retry when the controller
-            # drains a slot -- the same one-shot listener idiom producers use.
-            self._park_delivery(flit.request, partial(self._try_deliver, flit))
 
     def _finish(self, flit: _Flit) -> None:
         request = flit.request
-        now = self.engine.now
+        now = self.engine._now
         request.fabric_hops = flit.hops
         wait_ns = (now - flit.inject_ns) - flit.hops * self.hop_latency_ns
         # Engine times are tick-quantized floats; an uncontended route can
@@ -276,12 +274,11 @@ class MeshTopology(Topology):
         # latency is end-to-end (fabric traversal + queueing + service),
         # not admission-to-completion.  The direct path never runs this.
         request.arrival_ns = flit.inject_ns
-        self._delivered.add(1)
-        self._hops.add(flit.hops)
+        self._delivered.value += 1
+        self._hops.value += flit.hops
         self._wait_hist.add(request.fabric_wait_ns)
         self._in_flight -= 1
-        if flit.link is not None:
-            self._release(flit.link)
+        self._release(flit.link)
 
     def _release(self, link: _Link) -> None:
         """Return one credit; wake the next waiting flit or parked producers."""
@@ -298,10 +295,6 @@ class MeshTopology(Topology):
                 callback()
 
     # ------------------------------------------------------------- lifecycle
-    @property
-    def in_flight(self) -> int:
-        return self._in_flight
-
     def is_idle(self) -> bool:
         return self._in_flight == 0
 

@@ -9,12 +9,13 @@ decoded request through :meth:`Topology.inject` and is responsible for
 eventually delivering it to its target controller through the system's
 delivery callback.
 
-The contract mirrors the controllers' park-and-retry idiom exactly:
+The contract mirrors the controllers' submit-or-park admission exactly:
 
 * :meth:`inject` returns ``False`` when the fabric cannot accept the request
-  right now (no injection credit); the caller parks the request and
-  registers a retry via :meth:`add_slot_listener`, which must fire its
-  callbacks one-shot when injection capacity frees up.
+  right now (no injection credit).  In the same step it parks the caller's
+  ``wake`` callback (when given) on the resource that refused, and fires it
+  one-shot when injection capacity frees up; the caller keeps the request
+  and retries from ``wake``.
 * Delivery happens at simulated time: the fabric schedules hops on the
   system's engine and calls back into the system when a request reaches its
   endpoint, where the normal controller admission (and trace hooks) run.
@@ -22,7 +23,7 @@ The contract mirrors the controllers' park-and-retry idiom exactly:
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.memctrl.request import MemoryRequest
 
@@ -33,14 +34,14 @@ class Topology:
     #: Registry key (set on registration).
     name: str = "abstract"
 
-    def inject(self, request: MemoryRequest) -> bool:
-        """Accept a decoded request into the fabric; ``False`` = no capacity."""
-        raise NotImplementedError
+    def inject(
+        self, request: MemoryRequest, wake: Optional[Callable[[], None]] = None
+    ) -> bool:
+        """Accept a decoded request into the fabric; ``False`` = no capacity.
 
-    def add_slot_listener(
-        self, request: MemoryRequest, callback: Callable[[], None]
-    ) -> None:
-        """One-shot callback fired when the request's injection port frees up."""
+        On refusal, ``wake`` (if not ``None``) fires once when the request's
+        injection port frees up.
+        """
         raise NotImplementedError
 
     def planned_hops(self, request: MemoryRequest) -> int:

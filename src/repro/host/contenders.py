@@ -15,7 +15,7 @@ Two families of contenders exist:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Protocol, Tuple
+from typing import Callable, Dict, Optional, Protocol, Tuple
 
 from repro.memctrl.request import MemoryRequest, RequestStream
 from repro.sim.engine import SimulationEngine
@@ -24,12 +24,14 @@ from repro.sim.engine import SimulationEngine
 class TrafficPort(Protocol):
     """Minimal interface a traffic source needs from the memory hierarchy."""
 
-    def submit(self, request: MemoryRequest) -> bool:
-        """Decode and enqueue a request; returns False when the queue is full."""
-        ...
+    def submit(
+        self, request: MemoryRequest, wake: Optional[Callable[[], None]] = None
+    ) -> bool:
+        """Decode and enqueue a request; returns False when the target is full.
 
-    def retry_when_possible(self, request: MemoryRequest, callback: Callable[[], None]) -> None:
-        """Invoke ``callback`` when the request's target queue frees a slot."""
+        On refusal, ``wake`` (unless ``None``) is parked on the refusing
+        resource and invoked once when it frees a slot.
+        """
         ...
 
 
@@ -125,8 +127,7 @@ class MemoryContenderThread:
                 stream=RequestStream.CONTENDER,
                 on_complete=self._on_complete,
             )
-            if not self.port.submit(request):
-                self.port.retry_when_possible(request, self._pump)
+            if not self.port.submit(request, self._pump):
                 return
             self._outstanding += 1
             self.requests_issued += 1

@@ -4,8 +4,8 @@ Since PR 4 the controller is split in two layers:
 
 * :class:`ChannelController` (this module) is the **admission front-end**: it
   enforces queue depths, stamps arrival metadata, maintains the indexed
-  read/write queues (:class:`~repro.memctrl.queues.IndexedQueue`), notifies
-  slot listeners and owns the per-channel statistics.
+  read/write queues (:class:`~repro.memctrl.queues.IndexedQueue`), wakes
+  producers parked by a refused enqueue and owns the per-channel statistics.
 * :class:`~repro.memctrl.kernel.ServiceKernel` makes the scheduling decisions
   and issues column accesses through the DDR4 channel model, batching whole
   bursts of requests into one simulation event whenever the event order
@@ -22,7 +22,7 @@ asserts it across design points, policies and traffic shapes.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, List, Optional
 
 from repro.dram.channel import DdrChannel
 from repro.memctrl.kernel import ServiceKernel
@@ -92,15 +92,25 @@ class ChannelController:
             return len(self._write_queue) < self.config.write_queue_depth
         return len(self._read_queue) < self.config.read_queue_depth
 
-    def enqueue(self, request: MemoryRequest) -> bool:
-        """Accept ``request`` if the target queue has room; schedule servicing."""
+    def enqueue(
+        self, request: MemoryRequest, wake: Optional[Callable[[], None]] = None
+    ) -> bool:
+        """Accept ``request`` if the target queue has room; schedule servicing.
+
+        A refusal parks ``wake`` (when given) as a one-shot callback fired the
+        next time a queue slot frees: refusal and parking are one step.
+        """
         if request.is_write:
             queue = self._write_queue
             if len(queue) >= self.config.write_queue_depth:
+                if wake is not None:
+                    self._slot_listeners.append(wake)
                 return False
         else:
             queue = self._read_queue
             if len(queue) >= self.config.read_queue_depth:
+                if wake is not None:
+                    self._slot_listeners.append(wake)
                 return False
         channel = self.channel
         request.arrival_ns = self.engine._now
@@ -125,10 +135,6 @@ class ChannelController:
         if not kernel._service_pending:
             kernel.schedule_service()
         return True
-
-    def add_slot_listener(self, callback: Callable[[], None]) -> None:
-        """Register a one-shot callback fired the next time a queue slot frees."""
-        self._slot_listeners.append(callback)
 
     def _notify_slot_listeners(self) -> None:
         if not self._slot_listeners:

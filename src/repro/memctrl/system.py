@@ -10,7 +10,7 @@ how much parallelism a traffic stream can extract.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from repro.dram.channel import DdrChannel
 from repro.memctrl.controller import ChannelController
@@ -49,24 +49,12 @@ class MemorySystem:
             for channel in self.channels
         ]
 
-    def controller_for(self, request: MemoryRequest) -> ChannelController:
-        if request.dram_addr is None:
-            raise ValueError("request must be decoded before routing")
-        return self.controllers[request.dram_addr.channel]
-
     def submit(self, request: MemoryRequest) -> bool:
         """Route a decoded request to its channel controller (False if queue full)."""
         addr = request.dram_addr
         if addr is None:
             raise ValueError("request must be decoded before routing")
         return self.controllers[addr.channel].enqueue(request)
-
-    def can_accept(self, request: MemoryRequest) -> bool:
-        return self.controller_for(request).can_accept(request.is_write)
-
-    def add_slot_listener(self, request: MemoryRequest, callback: Callable[[], None]) -> None:
-        """Register for a retry notification on the request's target controller."""
-        self.controller_for(request).add_slot_listener(callback)
 
     def is_idle(self) -> bool:
         return all(controller.is_idle() for controller in self.controllers)

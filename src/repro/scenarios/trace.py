@@ -483,7 +483,10 @@ class TraceReplayer:
         self._issued = 0
         self._deferred = 0
         self._parked_request: Optional[tuple] = None
+        #: Whether ``_wake`` is parked on a full target.  ``_wake`` is bound
+        #: once and dropped when the run ends, so no cycle outlives the run.
         self._retry_registered = False
+        self._wake = self._on_slot_freed
         self._latency = Histogram("replay/latency_ns")
         self._last_completion_ns = 0.0
         self._start_ns = 0.0
@@ -568,25 +571,20 @@ class TraceReplayer:
                 tenant=self.tenant if self.tenant is not None else event.tenant,
                 on_complete=self._on_request_complete,
             )
-        if not self.system.submit(request):
+        if not self.system.submit(
+            request, None if self._retry_registered else self._wake
+        ):
             self._parked_request = (event, request)
             self._deferred += 1
-            self._register_retry(request)
+            self._retry_registered = True
             return False
         self._parked_request = None
         self._issued += 1
         return True
 
-    def _register_retry(self, request: MemoryRequest) -> None:
-        if self._retry_registered:
-            return
-        self._retry_registered = True
-
-        def retry() -> None:
-            self._retry_registered = False
-            self._drain_pending()
-
-        self.system.retry_when_possible(request, retry)
+    def _on_slot_freed(self) -> None:
+        self._retry_registered = False
+        self._drain_pending()
 
     def _on_request_complete(self, request: MemoryRequest) -> None:
         self._completed += 1
@@ -618,6 +616,7 @@ class TraceReplayer:
             latency=self._latency,
         )
         self._result = result
+        self._wake = None
         if self._on_complete is not None:
             self._on_complete(result)
 

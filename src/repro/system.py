@@ -6,8 +6,8 @@ interface every traffic source uses:
 * :meth:`PimSystem.submit` decodes a physical address through the active
   system mapper (homogeneous locality-centric mapping for the baseline,
   HetMap for PIM-MMU design points) and routes the request to the right
-  channel controller;
-* :meth:`PimSystem.retry_when_possible` provides back-pressure notifications;
+  channel controller -- or, when the target is full, parks the caller's
+  wake callback on the resource that refused it (back-pressure);
 * :meth:`PimSystem.pim_heap_addr` converts a ``(PIM core id, heap offset)``
   pair into a physical address the way the runtimes do.
 
@@ -92,7 +92,6 @@ class PimSystem:
         # Observers of every *accepted* memory request (trace recording).
         self._trace_hooks: List[Callable[[MemoryRequest, float], None]] = []
         # Constant-time domain dispatch for the submit hot path.
-        self._domain_systems = {DRAM_DOMAIN: self.dram, PIM_DOMAIN: self.pim}
         self._domain_controllers = {
             DRAM_DOMAIN: self.dram.controllers,
             PIM_DOMAIN: self.pim.controllers,
@@ -219,11 +218,17 @@ class PimSystem:
         raise ValueError(f"unknown domain '{domain}'")
 
     # ---------------------------------------------------------------- traffic
-    def submit(self, request: MemoryRequest) -> bool:
-        """Decode and route a request; returns False if the target queue is full.
+    def submit(
+        self, request: MemoryRequest, wake: Optional[Callable[[], None]] = None
+    ) -> bool:
+        """Decode and route a request; returns False if the target is full.
 
         Requests that already carry a decoded ``domain``/``dram_addr`` (because
         the caller pre-decoded them, e.g. the DCE's scheduler) are routed as-is.
+
+        A refusal parks ``wake`` (unless ``None``) on the resource that
+        refused -- the fabric's first-hop link or the channel controller --
+        to fire once when it frees a slot; the caller retries from ``wake``.
         """
         dram_addr = request.dram_addr
         if request.domain is None or dram_addr is None:
@@ -231,10 +236,10 @@ class PimSystem:
             request.domain = domain
             request.dram_addr = dram_addr
         if self._fabric is not None:
-            return self._fabric.inject(request)
+            return self._fabric.inject(request, wake)
         accepted = self._domain_controllers[request.domain][
             dram_addr.channel
-        ].enqueue(request)
+        ].enqueue(request, wake)
         if accepted and self._trace_hooks:
             for hook in self._trace_hooks:
                 hook(request, self.engine.now)
@@ -268,43 +273,26 @@ class PimSystem:
         except ValueError:
             pass
 
-    def retry_when_possible(
-        self, request: MemoryRequest, callback: Callable[[], None]
-    ) -> None:
-        """Register ``callback`` to fire when the request's target queue has room."""
-        if request.domain is None or request.dram_addr is None:
-            domain, dram_addr = self.decode(request.phys_addr)
-            request.domain = domain
-            request.dram_addr = dram_addr
-        if self._fabric is not None:
-            self._fabric.add_slot_listener(request, callback)
-            return
-        self.domain_system(request.domain).add_slot_listener(request, callback)
-
     # ----------------------------------------------------- fabric integration
-    def _fabric_deliver(self, request: MemoryRequest) -> bool:
+    def _fabric_deliver(
+        self, request: MemoryRequest, wake: Callable[[], None]
+    ) -> bool:
         """Admit a fabric-delivered request into its channel controller.
 
         This is the back half of the direct submit path: controller admission
         plus the trace hooks, which observe *accepted* requests and therefore
         fire at delivery time (not injection time) under a fabric.  Returns
-        ``False`` when the controller queue is full, in which case the fabric
-        keeps holding its last buffer slot and parks the delivery via
-        :meth:`_fabric_park_delivery` -- backpressure into the mesh.
+        ``False`` when the controller queue is full, in which case the
+        controller has parked ``wake`` and the fabric keeps holding its last
+        buffer slot until it fires -- backpressure into the mesh.
         """
         accepted = self._domain_controllers[request.domain][
             request.dram_addr.channel
-        ].enqueue(request)
+        ].enqueue(request, wake)
         if accepted and self._trace_hooks:
             for hook in self._trace_hooks:
                 hook(request, self.engine.now)
         return accepted
-
-    def _fabric_park_delivery(
-        self, request: MemoryRequest, callback: Callable[[], None]
-    ) -> None:
-        """Re-attempt a parked fabric delivery when the controller drains."""
-        self.domain_system(request.domain).add_slot_listener(request, callback)
 
     # ------------------------------------------------------------- simulation
     @property

@@ -69,7 +69,10 @@ class SoftwareCopyThread:
         self._parked_read: Optional[tuple] = None
         self._running = False
         self._finished = False
+        #: Whether ``_wake`` is parked on a full target.  ``_wake`` is bound
+        #: once and dropped when the run ends, so no cycle outlives the run.
         self._retry_registered = False
+        self._wake = self._on_slot_freed
         self.chunks_completed = 0
 
     # ----------------------------------------------------- scheduler interface
@@ -130,24 +133,19 @@ class SoftwareCopyThread:
                     tenant=self.tenant,
                     on_complete=lambda req, c=chunk: self._on_read_complete(c),
                 )
-            if not submit(request):
+            if not submit(
+                request, None if self._retry_registered else self._wake
+            ):
                 self._parked_read = (chunk, request)
-                self._register_retry(request)
+                self._retry_registered = True
                 return
             self._parked_read = None
             self._next_chunk += 1
             self._outstanding += 1
 
-    def _register_retry(self, request: MemoryRequest) -> None:
-        if self._retry_registered:
-            return
-        self._retry_registered = True
-
-        def retry() -> None:
-            self._retry_registered = False
-            self._pump()
-
-        self.system.retry_when_possible(request, retry)
+    def _on_slot_freed(self) -> None:
+        self._retry_registered = False
+        self._pump()
 
     def _on_read_complete(self, chunk: int) -> None:
         # The CPU transposes / repacks the chunk before storing it; the cost is
@@ -174,8 +172,10 @@ class SoftwareCopyThread:
         )
 
     def _submit_request(self, request: MemoryRequest) -> bool:
-        if not self.system.submit(request):
-            self._register_retry(request)
+        if not self.system.submit(
+            request, None if self._retry_registered else self._wake
+        ):
+            self._retry_registered = True
             return False
         return True
 
@@ -196,6 +196,7 @@ class SoftwareCopyThread:
             return
         self._finished = True
         self._running = False
+        self._wake = None
         self.system.scheduler.notify_finished(self)
         if self.on_finished is not None:
             self.on_finished(self)

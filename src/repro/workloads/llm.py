@@ -734,7 +734,10 @@ class ServingDriver:
 
         self._pending_lines: Deque[Tuple[int, bool, str]] = deque()
         self._parked: Optional[Tuple[Tuple[int, bool, str], MemoryRequest]] = None
+        #: Whether ``_wake`` is parked on a full target.  ``_wake`` is bound
+        #: once and dropped when the run ends, so no cycle outlives the run.
         self._retry_registered = False
+        self._wake = self._on_slot_freed
 
         self.iterations = 0
         self.memory_requests = 0
@@ -918,7 +921,7 @@ class ServingDriver:
             if offset >= region_bytes:
                 offset = 0
 
-    # -- submission (park-and-retry, the TraceReplayer idiom) ----------------
+    # -- submission (submit-or-park, the TraceReplayer idiom) ----------------
 
     def _drain_pending(self) -> None:
         pending = self._pending_lines
@@ -941,25 +944,20 @@ class ServingDriver:
                 tenant=tenant,
                 on_complete=self._on_line_complete,
             )
-        if not self.system.submit(request):
+        if not self.system.submit(
+            request, None if self._retry_registered else self._wake
+        ):
             self._parked = (line, request)
             self.deferred += 1
-            self._register_retry(request)
+            self._retry_registered = True
             return False
         self._parked = None
         self.memory_requests += 1
         return True
 
-    def _register_retry(self, request: MemoryRequest) -> None:
-        if self._retry_registered:
-            return
-        self._retry_registered = True
-
-        def retry() -> None:
-            self._retry_registered = False
-            self._drain_pending()
-
-        self.system.retry_when_possible(request, retry)
+    def _on_slot_freed(self) -> None:
+        self._retry_registered = False
+        self._drain_pending()
 
     def _on_line_complete(self, _request: MemoryRequest) -> None:
         self._outstanding_lines -= 1
@@ -1018,6 +1016,7 @@ class ServingDriver:
         if self._finished:
             return
         self._finished = True
+        self._wake = None
         self._end_ns = now
         outcome = ServingOutcome(
             name=self.name,

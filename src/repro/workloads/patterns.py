@@ -68,8 +68,7 @@ class _Probe:
                 stream=RequestStream.OTHER,
                 on_complete=self._on_complete,
             )
-            if not self.system.submit(request):
-                self.system.retry_when_possible(request, self.pump)
+            if not self.system.submit(request, self.pump):
                 # Put the address back conceptually: re-issue it on retry.
                 self.addresses = _chain_front(address, self.addresses)
                 return

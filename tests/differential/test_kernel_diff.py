@@ -167,10 +167,10 @@ def run_program(batching: bool, program: Program) -> dict:
     capacity = geometry.channel_capacity_bytes
 
     def submit(request: MemoryRequest) -> None:
-        # Park-and-retry on queue-full, like PimSystem.retry_when_possible:
-        # exercises the slot-listener notification path mid-service-loop.
-        if not controller.enqueue(request):
-            controller.add_slot_listener(partial(submit, request))
+        # Submit-or-park on queue-full, like PimSystem.submit's wake: a
+        # refused request retries from the controller's slot-freed
+        # notification, mid-service-loop.
+        controller.enqueue(request, partial(submit, request))
 
     requests: List[MemoryRequest] = []
     when = 0.0

@@ -103,6 +103,9 @@ def test_run_bench_reports_per_workload_spread():
     metrics = entry["workloads"]["deep-queue"]
     assert "wall_spread_pct" in metrics
     assert metrics["wall_spread_pct"] >= 0.0
+    # CPU time of the fastest repeat travels next to its wall time.
+    assert list(metrics)[:2] == ["wall_s", "process_s"]
+    assert metrics["process_s"] > 0.0
 
 
 def _entry(quick=True, **rates):

@@ -60,7 +60,9 @@ def target_submitter(capacity, log):
     """
     left = dict(capacity)
 
-    def submit(access, key):
+    def submit(access, key, target=None):
+        # DeferredReads also passes the target key it retries.
+        assert target in (None, key)
         if left[key] > 0:
             left[key] -= 1
             log.append(access)

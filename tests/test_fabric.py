@@ -2,12 +2,12 @@
 
 Covers the spec grammar (``mesh:WxH[,key=val...]``), the deterministic
 row-major placement and X-Y routes of :class:`MeshTopology`, credit-based
-flow control with the park-and-retry contract, delivery backpressure into
+flow control with the submit-or-park contract, delivery backpressure into
 the mesh, and the session-level surface (``RunResult.fabric``).
 
 The mesh itself only touches a narrow slice of the system --
-``config.dram/pim.channels``, ``engine``, ``stats`` and the two delivery
-callbacks -- so most tests run it against a stub system and drive the
+``config.dram/pim.channels``, ``engine``, ``stats`` and the delivery
+callback -- so most tests run it against a stub system and drive the
 simulation engine directly.
 """
 
@@ -44,14 +44,12 @@ class _StubSystem:
         self.refuse = False
         self.parked = []
 
-    def _fabric_deliver(self, request):
+    def _fabric_deliver(self, request, wake):
         if self.refuse:
+            self.parked.append(wake)
             return False
         self.delivered.append(request)
         return True
-
-    def _fabric_park_delivery(self, request, callback):
-        self.parked.append(callback)
 
 
 def _request(channel=0, domain="dram", source_id=0) -> MemoryRequest:
@@ -190,14 +188,13 @@ class TestMeshTraffic:
         first = _request(channel=1, domain="dram")
         second = _request(channel=1, domain="dram")
         assert mesh.inject(first)
-        # Same first-hop link, no credit left: the producer parks.
-        assert not mesh.inject(second)
-        assert stats.snapshot()["counter/fabric/link/0,0->1,0/stalls"] == 1
 
         def retry():
             assert mesh.inject(second)
 
-        mesh.add_slot_listener(second, retry)
+        # Same first-hop link, no credit left: the producer parks its wake.
+        assert not mesh.inject(second, retry)
+        assert stats.snapshot()["counter/fabric/link/0,0->1,0/stalls"] == 1
         engine.run()
         assert system.delivered == [first, second]
         # Pre-injection parked time is not fabric queueing: the retry wins a
@@ -226,20 +223,19 @@ class TestMeshTraffic:
         assert mesh.is_idle()
         mesh.check_invariants()
 
-    def test_degenerate_route_delivers_in_place(self, engine, stats):
+    def test_every_route_leaves_its_ingress_node(self, engine, stats):
+        # Placement gives every endpoint a node of its own, so no request is
+        # ever delivered in place: every route is at least one hop long.
         system = _StubSystem(engine, stats, dram_channels=1, pim_channels=1)
-        mesh = MeshTopology(system, width=2, height=2)
-        # Collapse the dram endpoint onto the ingress node to exercise the
-        # src == dest branch (no link, no hop, immediate delivery).
-        mesh._endpoint[("dram", 0)] = mesh.ingress_coord(0)
-        request = _request(channel=0, domain="dram")
-        assert mesh.inject(request)
-        assert system.delivered == [request]
-        assert request.fabric_hops == 0
-        fired = []
-        mesh.add_slot_listener(_request(channel=0, domain="dram"), lambda: fired.append(1))
+        mesh = MeshTopology(system, width=2, height=2, num_ingress=2)
+        for source_id in (0, 1):
+            for domain in ("dram", "pim"):
+                request = _request(channel=0, domain=domain, source_id=source_id)
+                assert mesh.planned_hops(request) >= 1
+                assert mesh.inject(request)
         engine.run()
-        assert fired == [1]
+        assert all(request.fabric_hops >= 1 for request in system.delivered)
+        assert len(system.delivered) == 4
 
     def test_reset_restores_credits_and_refuses_in_flight(self, engine, stats):
         system = _StubSystem(engine, stats, dram_channels=2, pim_channels=2)

@@ -57,12 +57,14 @@ class TestChannelController:
         assert not controller.can_accept(is_write=False)
         assert controller.can_accept(is_write=True)
 
-    def test_slot_listener_fires_after_service(self, engine, stats):
+    def test_refused_enqueue_wake_fires_after_service(self, engine, stats):
         controller = make_controller(engine, stats, read_queue_depth=1)
         mapping = locality_centric_mapping(GEOMETRY)
         controller.enqueue(decoded_request(mapping, 0))
         woken = []
-        controller.add_slot_listener(lambda: woken.append(engine.now))
+        assert not controller.enqueue(
+            decoded_request(mapping, 64), lambda: woken.append(engine.now)
+        )
         engine.run()
         assert len(woken) == 1
 

@@ -132,15 +132,12 @@ def test_index_stays_bounded_over_50k_replay():
 
     def pump():
         for request in feed:
-            if not controller.enqueue(request):
-                controller.add_slot_listener(partial(retry, request))
+            if not controller.enqueue(request, partial(retry, request)):
                 return
 
     def retry(request):
-        if controller.enqueue(request):
+        if controller.enqueue(request, partial(retry, request)):
             pump()
-        else:
-            controller.add_slot_listener(partial(retry, request))
 
     pump()
     engine.run()

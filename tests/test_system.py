@@ -61,18 +61,17 @@ class TestSubmitAndDecode:
         request.domain, request.dram_addr = domain, dram_addr
         assert system.submit(request)
 
-    def test_retry_when_possible(self, small_config):
+    def test_refused_submit_parks_wake(self, small_config):
         system = build_system(config=small_config)
-        # Fill one controller's read queue, then register a retry callback.
+        # Fill one controller's read queue, then submit with a wake callback.
         depth = small_config.memctrl.read_queue_depth
         for index in range(depth):
             assert system.submit(MemoryRequest(phys_addr=index * 64, is_write=False))
         blocked = MemoryRequest(phys_addr=depth * 64, is_write=False)
         # Under the locality mapping every address above targets channel 0, so
-        # the queue is now full.
-        assert not system.submit(blocked)
+        # the queue is now full: the refusal parks the wake in the same call.
         woken = []
-        system.retry_when_possible(blocked, lambda: woken.append(system.now))
+        assert not system.submit(blocked, lambda: woken.append(system.now))
         system.engine.run()
         assert len(woken) == 1
 
